@@ -71,8 +71,7 @@ def main():
     advisor = PolicyAdvisor(
         METER_SCHEMA, ["userid", "regionid", "ts"],
         records_per_unit_volume=len(rows) * config.data_scale)
-    policy = advisor.recommend(rows[::16], history)
-    properties = PolicyAdvisor.properties_for(policy)
+    properties = advisor.advise(rows[::16], history).properties
     print(f"  advisor chose: {properties}")
 
     conn = new_connection(rows, config)

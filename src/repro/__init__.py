@@ -27,8 +27,6 @@ See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for the
 paper-vs-measured record of every table and figure.
 """
 
-import warnings
-
 from repro.api import (Advice, Advisor, Connection, Cursor, apilevel,
                        connect, paramstyle, threadsafety)
 from repro.hive.plan import Plan
@@ -63,8 +61,6 @@ __all__ = [
     "Advice",
     "AdvisorReport",
     "QueryLog",
-    # deprecated alias (import path kept; see __getattr__)
-    "HiveSession",
     # index machinery
     "DgfIndexHandler",
     "DimensionPolicy",
@@ -80,18 +76,3 @@ __all__ = [
     "TimeBreakdown",
     "__version__",
 ]
-
-
-def __getattr__(name):
-    # Deprecation shim: ``from repro import HiveSession`` keeps working but
-    # steers callers to the stable facade.  The class itself is unchanged
-    # and importable directly from repro.hive.session without a warning.
-    if name == "HiveSession":
-        warnings.warn(
-            "importing HiveSession from the top-level 'repro' package is "
-            "deprecated; use repro.connect() (see docs/api.md) or import "
-            "it from repro.hive.session",
-            DeprecationWarning, stacklevel=2)
-        from repro.hive.session import HiveSession
-        return HiveSession
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,7 +20,7 @@ Public surface:
 
 from repro.core.dgf.policy import DimensionPolicy, SplittingPolicy
 from repro.core.dgf.gfu import GFUValue, SliceLocation
-from repro.core.dgf.grid import GridSearchResult, search_grid
+from repro.core.dgf.grid import GridRegion, search_grid
 from repro.core.dgf.handler import DgfIndexHandler
 from repro.core.dgf.builder import add_precompute, append_with_dgf
 from repro.core.dgf.advisor import PolicyAdvisor
@@ -31,7 +31,7 @@ __all__ = [
     "SplittingPolicy",
     "GFUValue",
     "SliceLocation",
-    "GridSearchResult",
+    "GridRegion",
     "search_grid",
     "DgfIndexHandler",
     "append_with_dgf",

@@ -186,9 +186,7 @@ def compute_bounds(store: DgfStore,
     dimension" used to complete partial-specified predicates."""
     bounds: Dict[str, Tuple[int, int]] = {}
     for cell_key, _value in store.iter_entries():
-        labels = _split_key(cell_key, policy)
-        for dim, label in zip(policy.dimensions, labels):
-            k = dim.cell_of(dim.parse_label(label))
+        for dim, k in zip(policy.dimensions, policy.cells_of_key(cell_key)):
             name = dim.name.lower()
             if name not in bounds:
                 bounds[name] = (k, k)
@@ -196,18 +194,6 @@ def compute_bounds(store: DgfStore,
                 lo, hi = bounds[name]
                 bounds[name] = (min(lo, k), max(hi, k))
     return bounds
-
-
-def _split_key(cell_key: str, policy: SplittingPolicy) -> List[str]:
-    """Split a GFUKey into per-dimension labels.  Date labels contain no
-    separator and numeric labels never do, so a plain split works; the
-    count is validated against the policy."""
-    labels = cell_key.split("_")
-    if len(labels) != len(policy):
-        raise DGFError(
-            f"GFUKey {cell_key!r} has {len(labels)} segments, policy has "
-            f"{len(policy)} dimensions")
-    return labels
 
 
 def build_dgf_index(session, index: IndexInfo) -> BuildReport:

@@ -1,9 +1,14 @@
-"""Grid search: decompose a query region into inner and boundary GFUs.
+"""Grid search: the query region as a box of cells (Algorithm 3's core).
 
-This is the heart of Algorithm 3.  Overlap and coverage are separable per
-dimension, so the query-related cells are the Cartesian product of each
-dimension's overlapping cell range, and a cell is *inner* exactly when it
-is covered in every dimension.
+Overlap and coverage are separable per dimension, so the query-related
+cells are the Cartesian product of each dimension's overlapping cell
+range, and a cell is *inner* exactly when it is covered in every
+dimension: the related cells form a box and the inner cells a sub-box.
+:func:`search_grid` therefore returns one :class:`GridRegion` — two
+inclusive cell ranges per dimension — and never enumerates cells.  The
+region answers counts, the inner box and membership in O(dims); GFUKey
+strings are an encoding detail it produces on demand, for exactly the
+cells a caller is about to fetch from the KV store.
 
 Dimensions missing from the predicate use the min/max standardized values
 recorded at construction time (the paper's partial-specified query
@@ -12,36 +17,137 @@ handling), which arrive here as the ``bounds`` clamp.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import product
+from math import prod
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
-from repro.core.dgf.policy import SplittingPolicy
+from repro.core.dgf.policy import (KEY_SEPARATOR, DimensionPolicy,
+                                   SplittingPolicy)
 from repro.hiveql.predicates import Interval
 
+#: inclusive cell-index range of one dimension; ``lo > hi`` means empty
+CellRange = Tuple[int, int]
 
-@dataclass
-class GridSearchResult:
-    """Inner/boundary cell keys of one query region."""
 
-    inner_keys: List[str] = field(default_factory=list)
-    boundary_keys: List[str] = field(default_factory=list)
-    #: True when the query region is empty (some dimension had no cells)
-    empty: bool = False
+def _trim(lo: int, hi: int, keep: Callable[[int], bool]) -> CellRange:
+    """Shrink ``[lo, hi]`` to the cells satisfying ``keep``.  Exact for a
+    predicate that is convex in ``k`` (true on one contiguous run), so
+    only the ends are ever tested."""
+    while lo <= hi and not keep(lo):
+        lo += 1
+    while lo <= hi and not keep(hi):
+        hi -= 1
+    return lo, hi
+
+
+def overlapped_range(dim: DimensionPolicy, interval: Optional[Interval],
+                     k_min: int, k_max: int) -> CellRange:
+    """Cells of ``dim`` within ``[k_min, k_max]`` that overlap
+    ``interval`` (None = unconstrained)."""
+    span = dim.cell_span(interval, k_min, k_max)
+    if span is None:
+        return 0, -1
+    return _trim(*span, lambda k: dim.overlaps_cell(interval, k))
+
+
+def _volume(ranges: Sequence[CellRange]) -> int:
+    return prod(max(0, hi - lo + 1) for lo, hi in ranges)
+
+
+def _shell(labels: Sequence[List[str]], cuts: Sequence[slice],
+           stem: Tuple[str, ...] = ()) -> Iterator[Tuple[str, ...]]:
+    """Label vectors of the cells outside the covered sub-box, in
+    ``itertools.product`` order, without visiting the cells inside it.
+    ``cuts[d]`` is the covered slice of ``labels[d]``."""
+    head, *rest = labels
+    cut = cuts[0]
+
+    def outside(part):
+        return (stem + (label,) + tail
+                for label in part for tail in product(*rest))
+
+    yield from outside(head[:cut.start])
+    if rest:
+        for label in head[cut]:
+            yield from _shell(rest, cuts[1:], stem + (label,))
+    yield from outside(head[cut.stop:])
+
+
+@dataclass(frozen=True)
+class GridRegion:
+    """The query-related cells of one grid: per dimension, the cell range
+    the query *overlaps* and its sub-range the query *covers*.
+
+    Inner cells are the product of the covered ranges, boundary cells
+    the rest of the overlapped box.  The key lists come out in the
+    lexicographic ``itertools.product`` order of the cell vectors —
+    header floats fold in ``multi_get`` order, so the order is part of
+    the contract.
+    """
+
+    policy: SplittingPolicy
+    overlapped: Tuple[CellRange, ...]
+    covered: Tuple[CellRange, ...]
+
+    # ---------------------------------------------------------------- counts
+    @property
+    def num_cells(self) -> int:
+        return _volume(self.overlapped)
+
+    @property
+    def inner_count(self) -> int:
+        return _volume(self.covered)
+
+    @property
+    def boundary_count(self) -> int:
+        return self.num_cells - self.inner_count
+
+    @property
+    def empty(self) -> bool:
+        """True when some dimension has no query-related cell."""
+        return self.num_cells == 0
+
+    # ------------------------------------------------------------- inner box
+    @property
+    def inner_box(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """Inclusive ``(lo, hi)`` corners of the inner sub-box (only
+        meaningful when ``inner_count`` is non-zero)."""
+        return (tuple(lo for lo, _hi in self.covered),
+                tuple(hi for _lo, hi in self.covered))
+
+    def is_inner(self, cells: Sequence[int]) -> bool:
+        return all(lo <= k <= hi
+                   for k, (lo, hi) in zip(cells, self.covered))
+
+    # ------------------------------------------------------------------ keys
+    def _labels(self, ranges: Sequence[CellRange]) -> List[List[str]]:
+        return [[dim.label(k) for k in range(lo, hi + 1)]
+                for dim, (lo, hi) in zip(self.policy.dimensions, ranges)]
+
+    @property
+    def inner_keys(self) -> List[str]:
+        return [KEY_SEPARATOR.join(labels)
+                for labels in product(*self._labels(self.covered))]
+
+    @property
+    def boundary_keys(self) -> List[str]:
+        cuts = [slice(in_lo - lo, in_hi - lo + 1)
+                for (lo, _hi), (in_lo, in_hi)
+                in zip(self.overlapped, self.covered)]
+        return [KEY_SEPARATOR.join(labels)
+                for labels in _shell(self._labels(self.overlapped), cuts)]
 
     @property
     def all_keys(self) -> List[str]:
         return self.inner_keys + self.boundary_keys
 
-    @property
-    def num_cells(self) -> int:
-        return len(self.inner_keys) + len(self.boundary_keys)
-
 
 def search_grid(policy: SplittingPolicy,
                 intervals: Dict[str, Optional[Interval]],
                 bounds: Dict[str, Tuple[int, int]],
-                force_all_boundary: bool = False) -> GridSearchResult:
+                force_all_boundary: bool = False) -> GridRegion:
     """Classify the query-related cells of ``policy``.
 
     ``intervals``: per dimension (lower-case name), the predicate interval
@@ -52,46 +158,16 @@ def search_grid(policy: SplittingPolicy,
     header path cannot be applied (non-aggregation queries, Figure 17's
     no-precompute ablation) and every query cell's slice must be read.
     """
-    per_dim: List[List[Tuple[int, bool]]] = []
+    overlapped: List[CellRange] = []
+    covered: List[CellRange] = []
     for dim in policy.dimensions:
         name = dim.name.lower()
         interval = intervals.get(name)
-        k_min, k_max = bounds[name]
-        span = dim.cell_span(interval, k_min, k_max)
-        if span is None:
-            return GridSearchResult(empty=True)
-        lo_k, hi_k = span
-        cells: List[Tuple[int, bool]] = []
-        for k in range(lo_k, hi_k + 1):
-            if not dim.overlaps_cell(interval, k):
-                continue
-            covered = (not force_all_boundary
-                       and dim.covers_cell(interval, k))
-            cells.append((k, covered))
-        if not cells:
-            return GridSearchResult(empty=True)
-        per_dim.append(cells)
-
-    result = GridSearchResult()
-    for combo in itertools.product(*per_dim):
-        key = policy.key_of_cells([k for k, _covered in combo])
-        if all(covered for _k, covered in combo):
-            result.inner_keys.append(key)
+        lo, hi = overlapped_range(dim, interval, *bounds[name])
+        overlapped.append((lo, hi))
+        if force_all_boundary:
+            covered.append((lo, lo - 1))
         else:
-            result.boundary_keys.append(key)
-    return result
-
-
-def estimate_cells(policy: SplittingPolicy,
-                   intervals: Dict[str, Optional[Interval]],
-                   bounds: Dict[str, Tuple[int, int]]) -> int:
-    """Number of query-related cells without materializing the keys (used
-    by the policy advisor's cost estimates)."""
-    total = 1
-    for dim in policy.dimensions:
-        name = dim.name.lower()
-        span = dim.cell_span(intervals.get(name), *bounds[name])
-        if span is None:
-            return 0
-        total *= span[1] - span[0] + 1
-    return total
+            covered.append(_trim(
+                lo, hi, lambda k: dim.covers_cell(interval, k)))
+    return GridRegion(policy, tuple(overlapped), tuple(covered))

@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.dgf import builder, fleet
 from repro.core.dgf.gfu import GFUValue, SliceLocation
-from repro.core.dgf.grid import GridSearchResult, search_grid
+from repro.core.dgf.grid import GridRegion, search_grid
 from repro.core.dgf.inputformat import DgfSliceInputFormat, slices_to_splits
 from repro.core.dgf.store import DgfStore
 from repro.errors import DGFError
@@ -60,10 +60,9 @@ def _avg_components(key: str) -> Optional[Tuple[str, str]]:
     return f"sum({arg})", "count(*)"
 
 
-def demote_suppressed_cells(inner_keys, boundary_keys, overlay,
-                            agg_path: bool
-                            ) -> Tuple[List[str], List[str], List[str]]:
-    """Demote tombstone-suppressed inner cells to the boundary scan.
+def demote_suppressed_cells(region: GridRegion,
+                            overlay) -> List[Tuple[int, ...]]:
+    """The tombstone-suppressed inner cells of ``region``, in key order.
 
     An inner cell with tombstones can no longer be answered from its
     pre-computed header (the header still counts suppressed rows), so it
@@ -71,21 +70,17 @@ def demote_suppressed_cells(inner_keys, boundary_keys, overlay,
     overlay's tombstone filter produce the surviving rows.  Pending-only
     cells keep their headers — their delta rows arrive via synthetic
     splits and merge additively.  When *every* inner cell is suppressed
-    the result degenerates to the pure slice path: no headers are folded
-    and the plan reports ``inner_gfus == 0``.
+    the plan degenerates to the pure slice path: no headers are folded
+    and it reports ``inner_gfus == 0``.  Off the aggregation path the
+    region has no inner cells, so nothing is demoted.
 
-    Returns ``(inner, boundary, demoted)`` — the demoted keys also feed
-    the aggregation pyramid, which must not cover them with any node.
+    The demoted cells also feed the aggregation pyramid, which must not
+    cover them with any node.
     """
-    inner = list(inner_keys)
-    boundary = list(boundary_keys)
-    if overlay is None or not agg_path or not overlay.has_suppression:
-        return inner, boundary, []
-    demoted = [key for key in inner if key in overlay.suppress]
-    if not demoted:
-        return inner, boundary, []
-    inner = [key for key in inner if key not in overlay.suppress]
-    return inner, boundary + demoted, demoted
+    if overlay is None or not overlay.has_suppression:
+        return []
+    cells = map(region.policy.cells_of_key, overlay.suppress)
+    return sorted(cell for cell in cells if region.is_inner(cell))
 
 
 class DgfIndexHandler(IndexHandler):
@@ -133,10 +128,9 @@ class DgfIndexHandler(IndexHandler):
         # describes the query, not whichever layout served it.  Sessions
         # without an attached log skip this entirely.
         if getattr(session, "query_log", None) is not None:
-            from repro.service.querylog import region_spans
             session.note_query_region(
                 table.name, index.name,
-                region_spans(policy, bounds, intervals), agg_path)
+                policy.region_spans(bounds, intervals), agg_path)
 
         # Replica-fleet routing: when the index has layout replicas, cost
         # every surviving layout for this query's region and read from the
@@ -164,10 +158,10 @@ class DgfIndexHandler(IndexHandler):
                                    (store, policy, bounds))
 
         with tracer.span("dgf.search_grid") as search_span:
-            search = search_grid(policy, intervals, bounds,
+            region = search_grid(policy, intervals, bounds,
                                  force_all_boundary=not agg_path)
-            search_span.add("inner_keys", len(search.inner_keys))
-            search_span.add("boundary_keys", len(search.boundary_keys))
+            search_span.add("inner_keys", region.inner_count)
+            search_span.add("boundary_keys", region.boundary_count)
 
         # Merge-on-read: resident streaming deltas overlapping the query
         # region become tombstone filters + synthetic delta splits.  The
@@ -182,8 +176,8 @@ class DgfIndexHandler(IndexHandler):
                 merge_span.add("delta.rows", overlay.num_rows)
                 merge_span.add("delta.suppressed", overlay.num_suppressed)
 
-        inner_keys, boundary_keys, suppressed = demote_suppressed_cells(
-            search.inner_keys, search.boundary_keys, overlay, agg_path)
+        suppressed = demote_suppressed_cells(region, overlay)
+        inner_count = region.inner_count - len(suppressed)
 
         # Aggregation pyramid (src/repro/pyramid/): when the chosen layout
         # has a built pyramid, answer the inner region from O(polylog)
@@ -195,29 +189,25 @@ class DgfIndexHandler(IndexHandler):
         # the flat path records it.
         pyramid_values = None
         pyramid_stats: Dict[str, int] = {}
-        if agg_path and ctx.use_pyramid and inner_keys:
+        if agg_path and ctx.use_pyramid and inner_count:
             from repro import pyramid as pyr
             plevels = pyr.pyramid_levels(index, layout_name)
             if plevels:
                 fanout = pyr.pyramid_fanout(index)
-                cover = pyr.decompose_region(policy, search.inner_keys,
-                                             suppressed, fanout, plevels)
-                if cover is not None:
-                    pstore = pyr.pyramid_store(session, table.name,
-                                               index.name, layout_name)
-                    with tracer.span("dgf.pyramid") as pyr_span:
-                        pyramid_values, pyramid_stats = pyr.resolve_cover(
-                            pstore, store, policy, cover, fanout)
-                        pyr_span.add("pyramid.levels",
-                                     pyramid_stats["levels"])
-                        pyr_span.add("pyramid.nodes",
-                                     pyramid_stats["nodes"])
-                        pyr_span.add("pyramid.leaves",
-                                     pyramid_stats["leaves"])
+                cover = pyr.decompose_region(*region.inner_box, suppressed,
+                                             fanout, plevels)
+                pstore = pyr.pyramid_store(session, table.name,
+                                           index.name, layout_name)
+                with tracer.span("dgf.pyramid") as pyr_span:
+                    pyramid_values, pyramid_stats = pyr.resolve_cover(
+                        pstore, store, policy, cover, fanout)
+                    pyr_span.add("pyramid.levels", pyramid_stats["levels"])
+                    pyr_span.add("pyramid.nodes", pyramid_stats["nodes"])
+                    pyr_span.add("pyramid.leaves", pyramid_stats["leaves"])
 
         header_states: Optional[Dict[str, Any]] = None
         slices: List[SliceLocation] = []
-        inner_hits = boundary_hits = 0
+        inner_hits = 0
         if agg_path:
             with tracer.span("dgf.inner_headers") as inner_span:
                 if pyramid_values is not None:
@@ -225,32 +215,31 @@ class DgfIndexHandler(IndexHandler):
                     # per inner cell, hit count equal to the present
                     # cells the nodes summarize.  The physical reads
                     # already happened inside the ``dgf.pyramid`` span.
-                    session.kvstore.note_cached_gets(len(inner_keys))
+                    session.kvstore.note_cached_gets(inner_count)
                     inner_hits = pyramid_stats["inner_hits"]
                     header_states = self._merge_headers(ctx.agg_keys,
                                                         pyramid_values)
                 else:
+                    inner_keys = region.inner_keys
+                    if suppressed:
+                        inner_keys = [key for key in inner_keys
+                                      if key not in overlay.suppress]
                     inner_values = store.multi_get(inner_keys)
                     inner_hits = len(inner_values)
                     header_states = self._merge_headers(
                         ctx.agg_keys, inner_values.values())
                 inner_span.add("gfus", inner_hits)
                 inner_span.add("headers_merged", len(header_states))
-            with tracer.span("dgf.boundary_slices") as boundary_span:
-                boundary_values = store.multi_get(boundary_keys)
-                boundary_hits = len(boundary_values)
-                for value in boundary_values.values():
-                    slices.extend(value.locations)
-                boundary_span.add("gfus", boundary_hits)
-                boundary_span.add("slices", len(slices))
-        else:
-            with tracer.span("dgf.boundary_slices") as boundary_span:
-                values = store.multi_get(search.all_keys)
-                boundary_hits = len(values)
-                for value in values.values():
-                    slices.extend(value.locations)
-                boundary_span.add("gfus", boundary_hits)
-                boundary_span.add("slices", len(slices))
+        # Off the aggregation path every query cell is a boundary cell.
+        with tracer.span("dgf.boundary_slices") as boundary_span:
+            boundary_values = store.multi_get(
+                region.boundary_keys
+                + [policy.key_of_cells(cell) for cell in suppressed])
+            boundary_hits = len(boundary_values)
+            for value in boundary_values.values():
+                slices.extend(value.locations)
+            boundary_span.add("gfus", boundary_hits)
+            boundary_span.add("slices", len(slices))
 
         with tracer.span("dgf.filter_splits") as split_span:
             splits, total_splits = slices_to_splits(session.fs, read_table,
@@ -264,7 +253,7 @@ class DgfIndexHandler(IndexHandler):
         # and concurrent queries cannot pollute each other's accounting.
         # The overlay adds its own deterministic probe count (delta cell +
         # base watermark per candidate cell).
-        probes = len(inner_keys) + len(boundary_keys)
+        probes = region.num_cells
         input_format = DgfSliceInputFormat(read_table)
         description = (f"dgf({index.name}) "
                        f"mode={'agg-headers' if agg_path else 'slices'} "
@@ -363,29 +352,26 @@ class DgfIndexHandler(IndexHandler):
                 scores = {}
                 for name in sorted(candidates):
                     cstore, cpolicy, cbounds, _view = candidates[name]
-                    search = search_grid(cpolicy, intervals, cbounds,
+                    region = search_grid(cpolicy, intervals, cbounds,
                                          force_all_boundary=not agg_path)
-                    probes = (len(search.inner_keys)
-                              + len(search.boundary_keys))
+                    probes = region.num_cells
                     # Pyramid-aware routing: a layout with a built
                     # pyramid answers its inner region in O(polylog)
                     # probes, so fine grids are costed honestly.  Only
                     # active once a pyramid exists — fleet scores (and
                     # the ``score.*`` span attributes) are unchanged
                     # until then.
-                    if agg_path and search.inner_keys:
+                    if agg_path and region.inner_count:
                         from repro import pyramid as pyr
                         plevels = pyr.pyramid_levels(index, name)
                         if plevels:
                             cover = pyr.decompose_region(
-                                cpolicy, search.inner_keys, (),
+                                *region.inner_box, (),
                                 pyr.pyramid_fanout(index), plevels)
-                            if cover is not None:
-                                probes = (len(search.boundary_keys)
-                                          + cover.probes)
+                            probes = region.boundary_count + cover.probes
                     stats = cstore.get_meta(fleet.STATS_META)
                     per_gfu = max(1, stats["gfus"])
-                    scan_cells = len(search.boundary_keys)
+                    scan_cells = region.boundary_count
                     scores[name] = session.cost_model.layout_route_seconds(
                         probes,
                         scan_cells * stats["records"] / per_gfu,

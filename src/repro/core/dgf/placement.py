@@ -17,7 +17,7 @@ default remains ``'placement'='hash'``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, Sequence
 
 from repro.core.dgf.policy import SplittingPolicy
 from repro.errors import DGFError
@@ -63,20 +63,10 @@ def zorder_partitioner(policy: SplittingPolicy,
     block_bits = max(2, _BITS_PER_DIMENSION * len(policy) // 8)
 
     def partition(gfu_key: str) -> int:
-        cells = cells_of_key(policy, gfu_key)
+        cells = policy.cells_of_key(gfu_key)
         return (morton_code(cells) >> block_bits) % num_reducers
 
     return partition
-
-
-def cells_of_key(policy: SplittingPolicy, gfu_key: str) -> Tuple[int, ...]:
-    """Parse a GFUKey back into its cell-index vector."""
-    labels = gfu_key.split("_")
-    if len(labels) != len(policy):
-        raise DGFError(
-            f"GFUKey {gfu_key!r} does not match the {len(policy)}-d policy")
-    return tuple(dim.cell_of(dim.parse_label(label))
-                 for dim, label in zip(policy.dimensions, labels))
 
 
 def resolve_placement(properties: Dict[str, str]) -> str:

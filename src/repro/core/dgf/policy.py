@@ -94,6 +94,12 @@ class DimensionPolicy:
     def cell_end(self, k: int) -> Any:
         return self.from_coord(self._origin_coord + (k + 1) * self.interval)
 
+    def extent(self, k_min: int, k_max: int) -> Tuple[float, float]:
+        """Coordinate extent ``[low, high)`` of cells ``k_min .. k_max``."""
+        origin = self._origin_coord
+        return (origin + k_min * self.interval,
+                origin + (k_max + 1) * self.interval)
+
     def standardize(self, raw: Any) -> Any:
         """The paper's "standard" method: the cell's lower coordinate."""
         return self.cell_start(self.cell_of(raw))
@@ -230,6 +236,48 @@ class SplittingPolicy:
     def cells_of_row(self, values: Sequence[Any]) -> Tuple[int, ...]:
         return tuple(dim.cell_of(v)
                      for dim, v in zip(self.dimensions, values))
+
+    def cells_of_key(self, key: str) -> Tuple[int, ...]:
+        """Cell-index vector of a GFUKey — the inverse of
+        :meth:`key_of_cells`.  Date labels contain no separator and
+        numeric labels never do, so a plain split works; the segment
+        count is validated against the policy."""
+        labels = key.split(KEY_SEPARATOR)
+        if len(labels) != len(self.dimensions):
+            raise DGFError(
+                f"GFUKey {key!r} has {len(labels)} segments, policy has "
+                f"{len(self.dimensions)} dimensions")
+        return tuple(dim.cell_of(dim.parse_label(label))
+                     for dim, label in zip(self.dimensions, labels))
+
+    # --------------------------------------------------------------- regions
+    def region_spans(self, bounds: Dict[str, Tuple[int, int]],
+                     intervals: Dict[str, Optional[Interval]]
+                     ) -> Dict[str, Optional[Tuple[float, float]]]:
+        """Per-dimension coordinate span of a query region.
+
+        ``bounds`` are the built cell bounds; ``intervals`` the
+        per-dimension predicate intervals (lower-case names, None =
+        unconstrained).  Returns, per dimension, ``(low, high)`` in
+        coordinate space clamped to the data extent, or None for
+        unconstrained dimensions.
+        """
+        spans: Dict[str, Optional[Tuple[float, float]]] = {}
+        for dim in self.dimensions:
+            key = dim.name.lower()
+            interval = intervals.get(key)
+            if interval is None:
+                spans[key] = None
+                continue
+            data_low, data_high = dim.extent(*bounds[key])
+            low = dim.to_coord(interval.low) \
+                if interval.low is not None else data_low
+            high = dim.to_coord(interval.high) \
+                if interval.high is not None else data_high
+            low = min(max(low, data_low), data_high)
+            high = min(max(high, data_low), data_high)
+            spans[key] = (low, max(high, low))
+        return spans
 
     # -------------------------------------------------------- serialization
     @classmethod

@@ -27,9 +27,9 @@ that grid search *would* return from pure geometry:
   and bytes — the builder spreads rows over the grid, so cells
   approximate equal shares at advisory precision.
 
-Those estimates feed :meth:`CostModel.whatif_seconds`, which is the exact
-router formula — by construction, a grid this module scores as cheapest
-is the grid the router will route to once built.
+Those estimates feed :meth:`CostModel.layout_route_seconds`, the very
+formula the router calls — by construction, a grid this module scores as
+cheapest is the grid the router will route to once built.
 """
 
 from __future__ import annotations
@@ -57,12 +57,9 @@ def stats_from_policy(policy: SplittingPolicy,
     stats: Dict[str, DimensionStats] = {}
     for dim in policy.dimensions:
         key = dim.name.lower()
-        k_min, k_max = bounds[key]
-        origin = dim.to_coord(dim.origin)
-        stats[key] = DimensionStats(
-            name=dim.name, dtype=dim.dtype,
-            low=origin + k_min * dim.interval,
-            high=origin + (k_max + 1) * dim.interval)
+        low, high = dim.extent(*bounds[key])
+        stats[key] = DimensionStats(name=dim.name, dtype=dim.dtype,
+                                    low=low, high=high)
     return stats
 
 
@@ -129,7 +126,7 @@ class WhatIfEvaluator:
                 [max(1, int(e)) for e in inner_extents],
                 self.pyramid_fanout, levels)
         fraction = min(1.0, scan_cells / grid_cells)
-        return self.cost_model.whatif_seconds(
+        return self.cost_model.layout_route_seconds(
             probes,
             fraction * self.total_records,
             fraction * self.total_bytes)

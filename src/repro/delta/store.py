@@ -42,6 +42,7 @@ import threading
 from typing import (Any, Dict, List, Optional, Sequence, Tuple,
                     TYPE_CHECKING)
 
+from repro.core.dgf.grid import overlapped_range
 from repro.core.dgf.policy import SplittingPolicy
 from repro.core.dgf.store import cached_fetch
 from repro.errors import DeltaError
@@ -216,15 +217,6 @@ class DeltaBinding:
         assert self._dims_in_key is not None
         return self.policy.key_of_row([key[p] for p in self._dims_in_key])
 
-    def _cell_coords(self, cell: str) -> List[int]:
-        labels = cell.split("_")
-        if len(labels) != len(self.policy):
-            raise DeltaError(
-                f"delta cell {cell!r} has {len(labels)} segments, policy "
-                f"has {len(self.policy)} dimensions")
-        return [dim.cell_of(dim.parse_label(label))
-                for dim, label in zip(self.policy.dimensions, labels)]
-
     # --------------------------------------------------------------- ingest
     def ingest(self, ops: Sequence[Tuple[str, Sequence[Any]]]) -> int:
         """Apply a batch of ``("insert"|"upsert"|"delete", payload)`` ops.
@@ -349,15 +341,18 @@ class DeltaBinding:
         delta cells outside the base grid still surface.  ``None`` means
         the whole table (full scans)."""
         cells = self.resident_cells
-        if intervals is None:
+        if intervals is None or not cells:
             return list(cells)
-        chosen = []
-        for cell in cells:
-            coords = self._cell_coords(cell)
-            if all(dim.overlaps_cell(intervals.get(dim.name.lower()), k)
-                   for dim, k in zip(self.policy.dimensions, coords)):
-                chosen.append(cell)
-        return chosen
+        coords = [self.policy.cells_of_key(cell) for cell in cells]
+        # One overlapped range per dimension, clamped only to the
+        # resident cells' own extent.
+        ranges = [overlapped_range(dim, intervals.get(dim.name.lower()),
+                                   min(axis), max(axis))
+                  for dim, axis in zip(self.policy.dimensions,
+                                       zip(*coords))]
+        return [cell for cell, coord in zip(cells, coords)
+                if all(lo <= k <= hi
+                       for k, (lo, hi) in zip(coord, ranges))]
 
     def build_overlay(self, intervals: Optional[Dict[str, Optional[
             Interval]]] = None) -> Optional["DeltaOverlay"]:

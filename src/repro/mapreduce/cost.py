@@ -258,7 +258,7 @@ class CostModel:
         return TimeBreakdown(read_index_and_other=seconds)
 
     # -------------------------------------------------------- layout routing
-    def layout_route_seconds(self, kv_gets: int, est_records: float,
+    def layout_route_seconds(self, kv_gets: float, est_records: float,
                              est_bytes: float) -> float:
         """Estimated query cost of scanning one replica layout: the GFU
         probes the grid search would issue, plus a map phase over the
@@ -266,6 +266,10 @@ class CostModel:
         Used by the replica-fleet router (:mod:`repro.core.dgf.fleet`) to
         pick the cheapest surviving layout; the estimate only ranks
         layouts — the chosen plan's reported time is still measured.
+        The advisor's what-if evaluator (:mod:`repro.core.dgf.whatif`)
+        prices never-built grids with this same method, feeding it
+        geometric estimates instead of stored per-layout statistics, so
+        it cannot recommend a layout the router would not pick.
         """
         c = self.cluster
         seconds = kv_gets * c.kv_get_seconds
@@ -278,23 +282,6 @@ class CostModel:
                     + scaled_bytes / (slots * c.per_slot_disk_bandwidth)
                     + scaled_records * c.cpu_seconds_per_record / slots)
         return seconds
-
-    # --------------------------------------------------------------- what-if
-    def whatif_seconds(self, kv_gets: float, est_records: float,
-                       est_bytes: float) -> float:
-        """Hypothetical-layout pricing: the cost a query *would* pay on a
-        grid that has never been built.
-
-        Deliberately the same formula as :meth:`layout_route_seconds` —
-        the advisor's what-if evaluator (:mod:`repro.core.dgf.whatif`)
-        must price candidate grids with the exact model the replica-fleet
-        router will later use to choose between them, otherwise the
-        advisor could recommend a layout the router never picks.  The
-        only difference is that the caller *estimates* probes/records/
-        bytes from a candidate grid's geometry instead of measuring them
-        against stored per-layout statistics.
-        """
-        return self.layout_route_seconds(kv_gets, est_records, est_bytes)
 
     # ------------------------------------------------------- pyramid probes
     def pyramid_probe_count(self, extents: Sequence[int], fanout: int,

@@ -7,7 +7,7 @@ normalized traces.  See ``docs/pyramid.md``.
 """
 
 from repro.pyramid.build import (DEFAULT_FANOUT, PYRAMID_STATE_KEY,
-                                 cell_coords, demote_cells, drop_pyramid,
+                                 demote_cells, drop_pyramid,
                                  fold_children, levels_for_extent,
                                  pyramid_fanout, pyramid_levels,
                                  pyramid_state, pyramid_store,
@@ -20,8 +20,7 @@ from repro.pyramid.store import (PYRAMID_PREFIX, NodeId, PyramidNode,
 
 __all__ = [
     "DEFAULT_FANOUT", "PYRAMID_PREFIX", "PYRAMID_STATE_KEY", "NodeId",
-    "PyramidCover", "PyramidNode", "PyramidStore", "cell_coords",
-    "cover_box", "decompose_region", "demote_cells", "drop_pyramid",
+    "PyramidCover", "PyramidNode", "PyramidStore", "cover_box", "decompose_region", "demote_cells", "drop_pyramid",
     "fold_children", "levels_for_extent", "node_key", "parse_node_key",
     "pyramid_fanout", "pyramid_levels", "pyramid_state", "pyramid_store",
     "rebuild_pyramid", "refresh_cells", "resolve_cover",

@@ -36,7 +36,6 @@ from itertools import product
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.dgf.gfu import GFUValue
-from repro.core.dgf.policy import KEY_SEPARATOR, SplittingPolicy
 from repro.errors import DGFError
 from repro.hive.aggregates import AggFunction, AvgAgg
 from repro.pyramid.store import PyramidNode, PyramidStore
@@ -92,18 +91,6 @@ def pyramid_store(session, table_name: str, index_name: str,
 
 
 # ------------------------------------------------------------------ geometry
-def cell_coords(policy: SplittingPolicy,
-                cell_key: str) -> Tuple[int, ...]:
-    """Grid cell-index vector of a GFUKey (inverse of ``key_of_cells``)."""
-    labels = cell_key.split(KEY_SEPARATOR)
-    if len(labels) != len(policy.dimensions):
-        raise DGFError(
-            f"GFUKey {cell_key!r} has {len(labels)} segments; policy has "
-            f"{len(policy.dimensions)} dimensions")
-    return tuple(dim.cell_of(dim.parse_label(label))
-                 for dim, label in zip(policy.dimensions, labels))
-
-
 def levels_for_extent(extent: int, fanout: int) -> int:
     """Smallest depth whose top-level blocks span ``extent`` cells."""
     levels, size = 1, fanout
@@ -194,7 +181,7 @@ def rebuild_pyramid(session, index,
         pstore.clear()
         base: Dict[Tuple[int, ...], Any] = {}
         for cell_key, value in store.iter_entries():
-            base[cell_coords(policy, cell_key)] = value
+            base[policy.cells_of_key(cell_key)] = value
         levels = _levels_for(base.keys(), fanout)
         nodes_written = 0
         level_data: Dict[Tuple[int, ...], Any] = base
@@ -243,7 +230,7 @@ def refresh_cells(session, index, cells: Iterable[str],
                               storage_index_name(index.name, layout_name))
     pstore = pyramid_store(session, table_name, index.name, layout_name)
     policy = store.load_policy()
-    coords = sorted({cell_coords(policy, cell) for cell in cells})
+    coords = sorted({policy.cells_of_key(cell) for cell in cells})
     if not coords:
         return 0
     # A touched cell outside the built extent deepens the pyramid; the
@@ -258,7 +245,7 @@ def refresh_cells(session, index, cells: Iterable[str],
         if keep:
             demote_cells(session, index, keep, layout_name)
         return summary["nodes"]
-    demoted_coords = {cell_coords(policy, cell) for cell in keep_demoted}
+    demoted_coords = {policy.cells_of_key(cell) for cell in keep_demoted}
     fns: Dict[str, AggFunction] = {}
     touched = 0
     with session.tracer.span("pyramid:refresh") as span:
@@ -320,7 +307,7 @@ def demote_cells(session, index, cells: Iterable[str],
                               storage_index_name(index.name, layout_name))
     pstore = pyramid_store(session, table_name, index.name, layout_name)
     policy = store.load_policy()
-    coords = {cell_coords(policy, cell) for cell in cells}
+    coords = {policy.cells_of_key(cell) for cell in cells}
     if not coords:
         return 0
     marked = 0

@@ -1,7 +1,8 @@
 """Greedy decomposition of an inner region into maximal pyramid nodes.
 
 Algorithm 3 gives the query's inner region as an axis-aligned box of
-grid cells.  :func:`cover_box` covers that box with the largest aligned
+grid cells, and the grid search hands it over as exactly that — two
+corner vectors, never a key list.  :func:`cover_box` covers that box with the largest aligned
 pyramid blocks that fit entirely inside it (k²-tree style), dropping to
 level-0 cells only at the misaligned fringe — O(polylog) probes instead
 of one probe per inner cell.  :func:`resolve_cover` then fetches the
@@ -18,11 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import (Any, Dict, FrozenSet, Iterable, List, Optional,
-                    Sequence, Set, Tuple)
+from typing import Any, Dict, FrozenSet, Iterable, List, Tuple
 
 from repro.core.dgf.policy import SplittingPolicy
-from repro.pyramid.build import cell_coords, children_of
+from repro.pyramid.build import children_of
 from repro.pyramid.store import NodeId, PyramidNode, PyramidStore
 
 Coords = Tuple[int, ...]
@@ -86,31 +86,15 @@ def cover_box(lo: Coords, hi: Coords, blocked: FrozenSet[Coords],
     return nodes, leaves
 
 
-def decompose_region(policy: SplittingPolicy,
-                     inner_keys: Sequence[str],
-                     blocked_keys: Iterable[str],
-                     fanout: int, levels: int) -> Optional[PyramidCover]:
-    """Cover the inner region named by ``inner_keys`` (the full box the
-    grid search produced, *before* tombstone demotion) with maximal
-    pyramid nodes, keeping ``blocked_keys`` cells out of every node.
-
-    Returns ``None`` when the keys do not form a full axis-aligned box
-    (never the case for Algorithm 3 output; kept as a safe fallback to
-    the flat header path).
+def decompose_region(lo: Coords, hi: Coords, blocked: Iterable[Coords],
+                     fanout: int, levels: int) -> PyramidCover:
+    """Cover the inner box ``[lo, hi]`` of a grid search (the region's
+    ``inner_box``: the full box, *before* tombstone demotion) with
+    maximal pyramid nodes, keeping the ``blocked`` cells out of every
+    node.  An empty box yields an empty cover; ``levels == 0`` one leaf
+    per cell.
     """
-    if not inner_keys or levels <= 0:
-        return None
-    coords = [cell_coords(policy, key) for key in inner_keys]
-    dims = len(policy.dimensions)
-    lo = tuple(min(c[axis] for c in coords) for axis in range(dims))
-    hi = tuple(max(c[axis] for c in coords) for axis in range(dims))
-    volume = 1
-    for l, h in zip(lo, hi):
-        volume *= h - l + 1
-    if volume != len(set(coords)):
-        return None
-    blocked = frozenset(cell_coords(policy, key) for key in blocked_keys)
-    nodes, leaves = cover_box(lo, hi, blocked, fanout, levels)
+    nodes, leaves = cover_box(lo, hi, frozenset(blocked), fanout, levels)
     return PyramidCover(nodes=nodes, leaves=leaves, levels=levels)
 
 

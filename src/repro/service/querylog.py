@@ -21,39 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = ["LoggedQuery", "QueryLog", "region_spans"]
-
-
-def region_spans(policy, bounds, intervals
-                 ) -> Dict[str, Optional[Tuple[float, float]]]:
-    """Per-dimension coordinate span of a query region.
-
-    ``policy``/``bounds`` are the primary grid's splitting policy and
-    built cell bounds; ``intervals`` the per-dimension predicate
-    intervals (lower-case names, None = unconstrained).  Returns, per
-    dimension, ``(low, high)`` in coordinate space clamped to the data
-    extent, or None for unconstrained dimensions.  Duck-typed so the
-    service layer needs no core imports at call time.
-    """
-    spans: Dict[str, Optional[Tuple[float, float]]] = {}
-    for dim in policy.dimensions:
-        key = dim.name.lower()
-        interval = intervals.get(key)
-        if interval is None:
-            spans[key] = None
-            continue
-        k_min, k_max = bounds[key]
-        origin = dim.to_coord(dim.origin)
-        data_low = origin + k_min * dim.interval
-        data_high = origin + (k_max + 1) * dim.interval
-        low = dim.to_coord(interval.low) \
-            if interval.low is not None else data_low
-        high = dim.to_coord(interval.high) \
-            if interval.high is not None else data_high
-        low = min(max(low, data_low), data_high)
-        high = min(max(high, data_low), data_high)
-        spans[key] = (low, max(high, low))
-    return spans
+__all__ = ["LoggedQuery", "QueryLog"]
 
 
 @dataclass(frozen=True)

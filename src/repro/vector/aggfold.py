@@ -63,6 +63,14 @@ def fold_count_star(aggregate: CompiledAggregate, state: Any,
     return state + matched
 
 
+def _chain_sum(np, chain) -> float:
+    """Left-to-right float sum of ``chain`` (the row engine's merge
+    order).  Python's ``inf + -inf`` is a silent ``nan``, so NumPy's
+    invalid-value warning for the same bits is suppressed."""
+    with np.errstate(invalid="ignore"):
+        return float(np.add.accumulate(chain)[-1])
+
+
 def fold_array(np, aggregate: CompiledAggregate, state: Any, data,
                null) -> Any:
     """Fold a NumPy column (``data`` plus optional NULL mask) of matched
@@ -86,9 +94,9 @@ def fold_array(np, aggregate: CompiledAggregate, state: Any, data,
         if data.shape[0] == 0:
             return state
         if state is None:
-            return float(np.add.accumulate(data)[-1])
-        chain = np.concatenate((np.array([state], dtype=np.float64), data))
-        return float(np.add.accumulate(chain)[-1])
+            return _chain_sum(np, data)
+        return _chain_sum(np, np.concatenate(
+            (np.array([state], dtype=np.float64), data)))
     if isinstance(function, AvgAgg):
         total, count = state
         if data.shape[0] == 0:
@@ -96,8 +104,7 @@ def fold_array(np, aggregate: CompiledAggregate, state: Any, data,
         shifted = np.add(0.0, data)  # the row engine's ``0.0 + value``
         chain = np.concatenate((np.array([total], dtype=np.float64),
                                 shifted))
-        return (float(np.add.accumulate(chain)[-1]),
-                count + int(data.shape[0]))
+        return _chain_sum(np, chain), count + int(data.shape[0])
     if isinstance(function, (MinAgg, MaxAgg)):
         # NaN ordering and ±0.0 ties are fold-order-dependent: replicate
         # the row merge (builtin min/max) over Python scalars.

@@ -145,12 +145,6 @@ class TestWhatIf:
             QueryProfile(widths=widths, agg_path=False), grid)
         assert with_headers < without
 
-    def test_whatif_formula_is_the_router_formula(self):
-        model = CostModel()
-        for args in ((1, 0.0, 0.0), (120, 5e4, 2e7), (4096, 1e6, 1e9)):
-            assert model.whatif_seconds(*args) \
-                == model.layout_route_seconds(*args)
-
     def test_workload_seconds_respects_weights(self, evaluator):
         grid = {"u": 16, "t": 8}
         one = QueryProfile(widths={"u": 10.0, "t": 5.0})
@@ -210,14 +204,6 @@ class TestAdvice:
         again = Advice.from_dict(advice.to_dict())
         assert again.to_dict() == advice.to_dict()
         assert again.cell_counts == advice.cell_counts
-
-    def test_recommend_is_a_deprecation_shim(self, schema, rows):
-        advisor = PolicyAdvisor(schema, ["u", "d"],
-                                records_per_unit_volume=1e9)
-        with pytest.warns(DeprecationWarning, match="use advise\\(\\)"):
-            policy = advisor.recommend(rows, self.HISTORY)
-        advice = advisor.advise(rows, self.HISTORY)
-        assert policy.to_dict() == advice.policy.to_dict()
 
     def test_empty_history_rejected(self, schema, rows):
         advisor = PolicyAdvisor(schema, ["u"])

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 import repro
@@ -40,15 +38,7 @@ class TestModuleSurface:
 
     def test_all_names_resolve(self):
         for name in repro.__all__:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                assert getattr(repro, name) is not None
-
-    def test_hive_session_import_warns_but_works(self):
-        with pytest.deprecated_call():
-            cls = repro.HiveSession
-        from repro.hive.session import HiveSession
-        assert cls is HiveSession
+            assert getattr(repro, name) is not None
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):

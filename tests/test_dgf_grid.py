@@ -1,10 +1,13 @@
 """Tests for the inner/boundary grid decomposition (Algorithm 3's core)."""
 
+import datetime
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dgf.grid import estimate_cells, search_grid
+from repro.core.dgf.grid import search_grid
 from repro.core.dgf.policy import DimensionPolicy, SplittingPolicy
 from repro.hiveql.predicates import Interval
 from repro.storage.schema import DataType
@@ -86,12 +89,36 @@ class TestEdgeCases:
         assert result.inner_keys == []
         assert sorted(result.boundary_keys) == ["4_13", "7_13"]
 
-    def test_estimate_cells(self, policy):
+    def test_num_cells(self, policy):
         intervals = {"a": Interval(low=5, high=12),
                      "b": Interval(low=12, high=16)}
-        assert estimate_cells(policy, intervals, PAPER_BOUNDS) == 9
-        assert estimate_cells(policy, {"a": Interval(low=99, high=1),
-                                       "b": None}, PAPER_BOUNDS) == 0
+        assert search_grid(policy, intervals, PAPER_BOUNDS).num_cells == 9
+        assert search_grid(policy, {"a": Interval(low=99, high=1),
+                                    "b": None}, PAPER_BOUNDS).num_cells == 0
+
+    def test_counts_and_box_need_no_keys(self, monkeypatch):
+        """A million-cell region answers its counts and inner box from
+        the per-dimension ranges alone: no GFUKey segment is formatted."""
+        def no_labels(self, k):
+            raise AssertionError("label() called while counting")
+        monkeypatch.setattr(DimensionPolicy, "label", no_labels)
+        policy = SplittingPolicy([
+            DimensionPolicy(name="u", dtype=DataType.BIGINT, origin=0,
+                            interval=2),
+            DimensionPolicy(name="ts", dtype=DataType.DATE,
+                            origin="2000-01-01", interval=1),
+        ])
+        intervals = {"u": Interval(low=1, high=2401),
+                     "ts": Interval(low="2000-01-11", high="2002-10-07")}
+        region = search_grid(policy, intervals,
+                             {"u": (0, 5000), "ts": (0, 5000)})
+        assert region.num_cells == 1201 * 1000 >= 10 ** 6
+        assert region.inner_count == 1199 * 1000
+        assert region.boundary_count == 2 * 1000
+        assert region.inner_box == ((1, 10), (1199, 1009))
+        assert region.is_inner((600, 500))
+        assert not region.is_inner((0, 500))
+        assert not region.empty
 
 
 @settings(max_examples=80, deadline=None)
@@ -128,3 +155,122 @@ def test_property_decomposition_is_sound(a_lo, a_width, b_lo,
         assert key in result.inner_keys or key in result.boundary_keys
     if key in result.inner_keys:
         assert matches
+
+
+# ------------------------------------------------ region == per-cell oracle
+def brute_force(policy, intervals, bounds, force_all_boundary):
+    """The enumerating Algorithm 3: classify every cell of the clamped
+    span with ``overlaps_cell`` / ``covers_cell`` and format its key."""
+    per_dim = []
+    for dim in policy.dimensions:
+        name = dim.name.lower()
+        interval = intervals.get(name)
+        span = dim.cell_span(interval, *bounds[name])
+        cells = [] if span is None else [
+            (k, not force_all_boundary and dim.covers_cell(interval, k))
+            for k in range(span[0], span[1] + 1)
+            if dim.overlaps_cell(interval, k)]
+        if not cells:
+            return [], []
+        per_dim.append(cells)
+    inner, boundary = [], []
+    for combo in itertools.product(*per_dim):
+        key = policy.key_of_cells([k for k, _covered in combo])
+        (inner if all(covered for _k, covered in combo)
+         else boundary).append(key)
+    return inner, boundary
+
+
+@st.composite
+def dimension_cases(draw, name):
+    """One dimension with its bounds and a predicate interval whose ends
+    land on and off cell boundaries."""
+    dtype = draw(st.sampled_from([DataType.DOUBLE, DataType.INT,
+                                  DataType.BIGINT, DataType.DATE]))
+    if dtype is DataType.DOUBLE:
+        step = draw(st.sampled_from([0.1, 0.25, 0.5, 1.5, 3.0]))
+        origin = draw(st.integers(-8, 8)) * 0.5
+        fractions = [0.0, 0.0, 0.3, 0.5]
+    else:
+        step = draw(st.integers(1, 4))
+        origin = draw(st.integers(-8, 8))
+        fractions = [i / step for i in range(step)]
+
+    def raw(coord):
+        if dtype is DataType.DOUBLE:
+            return coord
+        if dtype is DataType.DATE:
+            return (datetime.date(2012, 12, 1)
+                    + datetime.timedelta(days=int(round(coord)))).isoformat()
+        return int(round(coord))
+
+    dim = DimensionPolicy(name=name, dtype=dtype, origin=raw(origin),
+                          interval=step)
+    k_min = draw(st.integers(-6, 6))
+    bounds = (k_min, k_min + draw(st.integers(0, 7)))
+
+    # ends from two cells outside the bounds to two cells inside them
+    ends = sorted(
+        origin + (draw(st.integers(bounds[0] - 2, bounds[1] + 2))
+                  + draw(st.sampled_from(fractions))) * step
+        for _ in range(2))
+    shape = draw(st.sampled_from(["range"] * 6 + ["none", "empty", "point",
+                                                  "low", "high"]))
+    if shape == "none":
+        interval = None
+    elif shape == "point":
+        interval = Interval.point(raw(ends[0]))
+    else:
+        if shape == "empty":
+            ends.reverse()
+        interval = Interval(
+            low=raw(ends[0]) if shape != "high" else None,
+            high=raw(ends[1]) if shape != "low" else None,
+            low_inclusive=draw(st.booleans()),
+            high_inclusive=draw(st.booleans()))
+    return dim, bounds, interval
+
+
+@settings(max_examples=300, deadline=None)
+@given(cases=st.integers(1, 3).flatmap(
+           lambda dims: st.tuples(*[dimension_cases(f"d{i}")
+                                    for i in range(dims)])),
+       force_all_boundary=st.booleans())
+def test_property_region_matches_per_cell_oracle(cases, force_all_boundary):
+    """Keys come out exactly as the enumerating search produced them —
+    same cells, same classification, same order — and the O(dims) counts
+    agree with the lists."""
+    policy = SplittingPolicy([dim for dim, _b, _i in cases])
+    bounds = {dim.name: b for dim, b, _i in cases}
+    intervals = {dim.name: i for dim, _b, i in cases}
+    region = search_grid(policy, intervals, bounds, force_all_boundary)
+    inner, boundary = brute_force(policy, intervals, bounds,
+                                  force_all_boundary)
+    assert region.inner_keys == inner
+    assert region.boundary_keys == boundary
+    assert region.all_keys == inner + boundary
+    assert (region.inner_count, region.boundary_count, region.num_cells) \
+        == (len(inner), len(boundary), len(inner) + len(boundary))
+    assert region.empty == (not inner and not boundary)
+    for key in inner + boundary:
+        assert region.is_inner(policy.cells_of_key(key)) == (key in inner)
+    if inner:
+        lo, hi = region.inner_box
+        assert policy.key_of_cells(lo) == inner[0]
+        assert policy.key_of_cells(hi) == inner[-1]
+
+
+@pytest.mark.parametrize("cells", [(0, 0, 0), (-7, -3, -40), (5, 13, 400),
+                                   (-1, 7, 0)])
+def test_cells_of_key_inverts_key_of_cells(cells):
+    """Negative cells (labels with a minus sign) and float labels parse
+    back to the same cell vector."""
+    policy = SplittingPolicy([
+        DimensionPolicy(name="n", dtype=DataType.BIGINT, origin=1,
+                        interval=3),
+        DimensionPolicy(name="x", dtype=DataType.DOUBLE, origin=0.5,
+                        interval=0.25),
+        DimensionPolicy(name="ts", dtype=DataType.DATE,
+                        origin="2012-12-01", interval=7),
+    ])
+    assert policy.cells_of_key(policy.key_of_cells(cells)) == cells

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.dgf.placement import (cells_of_key, morton_code,
-                                      resolve_placement, zorder_partitioner)
+from repro.core.dgf.placement import (morton_code, resolve_placement,
+                                      zorder_partitioner)
 from repro.core.dgf.policy import DimensionPolicy, SplittingPolicy
 from repro.errors import DGFError
 from repro.hive.session import QueryOptions
@@ -43,13 +43,9 @@ class TestHelpers:
                             origin="2012-12-01", interval=1),
         ])
 
-    def test_cells_of_key_roundtrip(self, policy):
-        key = policy.key_of_cells([3, 2])
-        assert cells_of_key(policy, key) == (3, 2)
-
     def test_cells_of_key_arity(self, policy):
         with pytest.raises(DGFError):
-            cells_of_key(policy, "1_2_3")
+            policy.cells_of_key("1_2_3")
 
     def test_partitioner_stable_and_in_range(self, policy):
         partition = zorder_partitioner(policy, 4)

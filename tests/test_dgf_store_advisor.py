@@ -113,15 +113,6 @@ class TestAdvisor:
         with pytest.raises(DGFError):
             PolicyAdvisor(schema, ["u"]).advise(rows, [])
 
-    def test_recommend_shim_warns_and_matches_advise(self, schema, rows):
-        advisor = PolicyAdvisor(schema, ["u", "d"],
-                                records_per_unit_volume=1e9)
-        history = [{"u": Interval(low=100, high=200)}]
-        with pytest.warns(DeprecationWarning, match="recommend"):
-            legacy = advisor.recommend(rows, history)
-        assert legacy.to_dict() == advisor.advise(rows, history) \
-            .policy.to_dict()
-
     def test_cost_tradeoff_visible(self, schema, rows):
         """More cells -> more gets; fewer cells -> more boundary read.
         The advisor's cost must reflect both directions."""

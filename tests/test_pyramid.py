@@ -12,15 +12,19 @@ pyramid probe estimates the router and advisor consume.
 import pytest
 
 from repro import pyramid as pyr
+from repro.core.dgf.grid import search_grid
 from repro.core.dgf.handler import demote_suppressed_cells
+from repro.core.dgf.policy import DimensionPolicy, SplittingPolicy
 from repro.errors import IndexError_
 from repro.hive.session import HiveSession, QueryOptions
+from repro.hiveql.predicates import Interval
 from repro.mapreduce.cost import CostModel
 from repro.pyramid import (DEFAULT_FANOUT, PyramidNode, PyramidStore,
                            cover_box, decompose_region, fold_children,
                            levels_for_extent, node_key, parse_node_key,
                            pyramid_levels, pyramid_store, rebuild_pyramid,
                            resolve_cover)
+from repro.storage.schema import DataType
 
 TABLE = "meterdata"
 INDEX = "idx"
@@ -312,27 +316,35 @@ def test_demote_suppressed_cells_helper():
         def has_suppression(self):
             return bool(self.suppress)
 
-    inner = ["a", "b", "c"]
-    boundary = ["x"]
-    # No overlay / not agg path / nothing suppressed: untouched.
-    assert demote_suppressed_cells(inner, boundary, None, True) == \
-        (inner, boundary, [])
-    overlay = FakeOverlay({"b": frozenset({(1,)})})
-    assert demote_suppressed_cells(inner, boundary, overlay, False) == \
-        (inner, boundary, [])
-    kept, scan, demoted = demote_suppressed_cells(inner, boundary,
-                                                  overlay, True)
-    assert kept == ["a", "c"]
-    assert scan == ["x", "b"]
-    assert demoted == ["b"]
-    # All-demoted edge: every inner key suppressed -> pure slice path.
-    overlay = FakeOverlay({"a": frozenset(), "b": frozenset(),
-                           "c": frozenset()})
-    kept, scan, demoted = demote_suppressed_cells(inner, boundary,
-                                                  overlay, True)
-    assert kept == []
-    assert scan == ["x", "a", "b", "c"]
-    assert demoted == ["a", "b", "c"]
+    policy = SplittingPolicy([
+        DimensionPolicy(name="a", dtype=DataType.BIGINT, origin=0,
+                        interval=10),
+        DimensionPolicy(name="b", dtype=DataType.BIGINT, origin=0,
+                        interval=1)])
+    intervals = {"a": Interval(low=5, high=40), "b": Interval.point(3)}
+    bounds = {"a": (0, 9), "b": (0, 9)}
+    region = search_grid(policy, intervals, bounds)
+    assert region.inner_keys == ["10_3", "20_3", "30_3"]
+    assert region.boundary_keys == ["0_3"]
+    # No overlay / nothing suppressed: nothing demoted.
+    assert demote_suppressed_cells(region, None) == []
+    assert demote_suppressed_cells(region, FakeOverlay({})) == []
+    # Only *inner* cells demote: a tombstoned boundary or unrelated
+    # cell is scanned (or skipped) anyway.
+    overlay = FakeOverlay({"20_3": frozenset({(1,)}), "0_3": frozenset(),
+                           "20_4": frozenset()})
+    assert demote_suppressed_cells(region, overlay) == [(2, 3)]
+    # Off the aggregation path no cell is inner.
+    scan = search_grid(policy, intervals, bounds, force_all_boundary=True)
+    assert demote_suppressed_cells(scan, overlay) == []
+    # All-demoted edge: every inner cell suppressed -> pure slice path,
+    # demoted in key order whatever order the overlay lists them in.
+    overlay = FakeOverlay({"30_3": frozenset(), "10_3": frozenset(),
+                           "20_3": frozenset()})
+    demoted = demote_suppressed_cells(region, overlay)
+    assert [policy.key_of_cells(cell) for cell in demoted] \
+        == region.inner_keys
+    assert region.inner_count - len(demoted) == 0
 
 
 def test_all_demoted_query_has_zero_inner_gfus():
@@ -458,25 +470,17 @@ def test_whatif_prices_fine_grids_cheaper_with_pyramid():
                                                                  fine)
 
 
-def test_decompose_region_requires_full_box():
-    session = make_session()
-    session.build_pyramid(TABLE, INDEX)
-    store = session.dgf_store(TABLE, INDEX)
-    policy = store.load_policy()
-    keys = [key for key, _v in store.iter_entries()]
-    cover = decompose_region(policy, keys[:3] + keys[5:6], (), 2, 5)
-    # An arbitrary subset is almost surely not an axis-aligned box.
-    if cover is not None:
-        coords = sorted(pyr.cell_coords(policy, k)
-                        for k in keys[:3] + keys[5:6])
-        lo = tuple(min(c[d] for c in coords) for d in range(2))
-        hi = tuple(max(c[d] for c in coords) for d in range(2))
-        volume = 1
-        for a, b in zip(lo, hi):
-            volume *= b - a + 1
-        assert volume == 4
-    assert decompose_region(policy, [], (), 2, 5) is None
-    assert decompose_region(policy, keys[:4], (), 2, 0) is None
+def test_decompose_region_degenerate_inputs():
+    """An empty box covers with nothing; a depth-0 "pyramid" has only
+    leaves, so the cover is the box's cells (the flat path)."""
+    empty = decompose_region((3, 5), (7, 4), (), 2, 5)
+    assert empty.probes == 0
+    flat = decompose_region((3, 5), (4, 6), (), 2, 0)
+    assert flat.nodes == []
+    assert flat.leaves == [(3, 5), (3, 6), (4, 5), (4, 6)]
+    blocked = decompose_region((0, 0), (3, 3), [(1, 1)], 2, 2)
+    assert (1, 1) not in blocked.leaves
+    assert sorted(blocked.nodes) == [(1, (0, 1)), (1, (1, 0)), (1, (1, 1))]
 
 
 def test_resolve_cover_matches_flat_fold():
@@ -486,12 +490,11 @@ def test_resolve_cover_matches_flat_fold():
     policy = store.load_policy()
     keys = sorted(key for key, _v in store.iter_entries())
     inner = [k for k in keys
-             if 1 <= pyr.cell_coords(policy, k)[0] <= 20
-             and 2 <= pyr.cell_coords(policy, k)[1] <= 11]
+             if 1 <= policy.cells_of_key(k)[0] <= 20
+             and 2 <= policy.cells_of_key(k)[1] <= 11]
     index = session.metastore.get_index(TABLE, INDEX)
-    cover = decompose_region(policy, inner, (), 2,
+    cover = decompose_region((1, 2), (20, 11), (), 2,
                              pyramid_levels(index, None))
-    assert cover is not None
     pstore = pyramid_store(session, TABLE, INDEX)
     values, stats = resolve_cover(pstore, store, policy, cover, 2)
     flat = store.multi_get(inner)
