@@ -18,7 +18,9 @@ region into inner and boundary GFUs, and either
   unrelated slices inside each split.
 
 Observability: when the owning session traces a query, the handler opens
-``dgf.search_grid`` / ``dgf.inner_headers`` / ``dgf.boundary_slices``
+``dgf.route`` (fleets only) / ``dgf.search_grid`` / ``delta:merge``
+(resident deltas only) / ``dgf.pyramid`` (pyramid covers only) /
+``dgf.inner_headers`` / ``dgf.boundary_slices`` / ``dgf.filter_splits``
 spans under the session's ``plan`` span, so ``EXPLAIN ANALYZE`` shows the
 decomposition (inner vs. boundary GFU counts) and the KV-store ops each
 step issued.  See ``docs/observability.md``.
@@ -81,6 +83,19 @@ def demote_suppressed_cells(region: GridRegion,
         return []
     cells = map(region.policy.cells_of_key, overlay.suppress)
     return sorted(cell for cell in cells if region.is_inner(cell))
+
+
+def pyramid_cover(index: IndexInfo, layout_name: Optional[str],
+                  region: GridRegion, blocked=()):
+    """The pyramid cover of ``region``'s inner box on one layout, with the
+    ``blocked`` cells kept out of every node; ``None`` when that layout
+    has no pyramid or the box is empty (always so off the agg path)."""
+    from repro import pyramid as pyr
+    levels = pyr.pyramid_levels(index, layout_name)
+    if not (levels and region.inner_count):
+        return None
+    return pyr.decompose_region(*region.inner_box, blocked,
+                                pyr.pyramid_fanout(index), levels)
 
 
 class DgfIndexHandler(IndexHandler):
@@ -151,15 +166,19 @@ class DgfIndexHandler(IndexHandler):
                     f"cannot force layout {ctx.force_layout!r}: index "
                     f"{index.name!r} has no replica fleet "
                     f"(live: [{PRIMARY_LAYOUT!r}])")
+        # A scored route hands over the winner's region and cover; only
+        # unscored plans (fleetless, forced, delta-pinned) search here.
+        scored = None
         if layouts:
-            layout_name, store, policy, bounds, read_table = \
+            layout_name, store, policy, bounds, read_table, scored = \
                 self._route_layout(session, table, index, ctx, layouts,
                                    intervals, agg_path, binding,
                                    (store, policy, bounds))
 
         with tracer.span("dgf.search_grid") as search_span:
-            region = search_grid(policy, intervals, bounds,
-                                 force_all_boundary=not agg_path)
+            region, cover = scored or (
+                search_grid(policy, intervals, bounds,
+                            force_all_boundary=not agg_path), None)
             search_span.add("inner_keys", region.inner_count)
             search_span.add("boundary_keys", region.boundary_count)
 
@@ -189,18 +208,17 @@ class DgfIndexHandler(IndexHandler):
         # the flat path records it.
         pyramid_values = None
         pyramid_stats: Dict[str, int] = {}
-        if agg_path and ctx.use_pyramid and inner_count:
-            from repro import pyramid as pyr
-            plevels = pyr.pyramid_levels(index, layout_name)
-            if plevels:
-                fanout = pyr.pyramid_fanout(index)
-                cover = pyr.decompose_region(*region.inner_box, suppressed,
-                                             fanout, plevels)
+        if ctx.use_pyramid and inner_count:
+            if scored is None or suppressed:  # routed covers block nothing
+                cover = pyramid_cover(index, layout_name, region, suppressed)
+            if cover is not None:
+                from repro import pyramid as pyr
                 pstore = pyr.pyramid_store(session, table.name,
                                            index.name, layout_name)
                 with tracer.span("dgf.pyramid") as pyr_span:
                     pyramid_values, pyramid_stats = pyr.resolve_cover(
-                        pstore, store, policy, cover, fanout)
+                        pstore, store, policy, cover,
+                        pyr.pyramid_fanout(index))
                     pyr_span.add("pyramid.levels", pyramid_stats["levels"])
                     pyr_span.add("pyramid.nodes", pyramid_stats["nodes"])
                     pyr_span.add("pyramid.leaves", pyramid_stats["leaves"])
@@ -310,7 +328,8 @@ class DgfIndexHandler(IndexHandler):
         overlay is built against the primary grid); ``ctx.force_layout``
         overrides the choice for differential harnesses.
 
-        Returns ``(name, store, policy, bounds, read_table)``.
+        Returns ``(name, store, policy, bounds, read_table, scored)``;
+        ``scored`` is the winner's ``(region, cover)``, None if unscored.
         """
         from repro.hdfs.layout import PRIMARY_LAYOUT
         store, policy, bounds = primary
@@ -332,6 +351,7 @@ class DgfIndexHandler(IndexHandler):
 
             resident = binding is not None and binding.resident_cells
             forced = ctx.force_layout
+            scored = {}
             if forced is not None:
                 if forced not in candidates:
                     raise DGFError(
@@ -354,21 +374,14 @@ class DgfIndexHandler(IndexHandler):
                     cstore, cpolicy, cbounds, _view = candidates[name]
                     region = search_grid(cpolicy, intervals, cbounds,
                                          force_all_boundary=not agg_path)
-                    probes = region.num_cells
-                    # Pyramid-aware routing: a layout with a built
-                    # pyramid answers its inner region in O(polylog)
-                    # probes, so fine grids are costed honestly.  Only
-                    # active once a pyramid exists — fleet scores (and
-                    # the ``score.*`` span attributes) are unchanged
-                    # until then.
-                    if agg_path and region.inner_count:
-                        from repro import pyramid as pyr
-                        plevels = pyr.pyramid_levels(index, name)
-                        if plevels:
-                            cover = pyr.decompose_region(
-                                *region.inner_box, (),
-                                pyr.pyramid_fanout(index), plevels)
-                            probes = region.boundary_count + cover.probes
+                    # A layout with a built pyramid answers its inner
+                    # region in O(polylog) probes, so fine grids are
+                    # costed honestly (priced even under
+                    # ``dgf_pyramid=False``, which only the plan obeys).
+                    cover = pyramid_cover(index, name, region)
+                    scored[name] = region, cover
+                    probes = region.num_cells if cover is None \
+                        else region.boundary_count + cover.probes
                     stats = cstore.get_meta(fleet.STATS_META)
                     per_gfu = max(1, stats["gfus"])
                     scan_cells = region.boundary_count
@@ -381,7 +394,7 @@ class DgfIndexHandler(IndexHandler):
                                                     n != PRIMARY_LAYOUT, n))
             span.set("chosen", chosen)
         cstore, cpolicy, cbounds, view = candidates[chosen]
-        return chosen, cstore, cpolicy, cbounds, view
+        return chosen, cstore, cpolicy, cbounds, view, scored.get(chosen)
 
     # ----------------------------------------------------------------- pieces
     def _aggregation_path_applies(self, ctx: QueryIndexContext, policy,

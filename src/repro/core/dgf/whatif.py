@@ -116,15 +116,16 @@ class WhatIfEvaluator:
             scan_cells = probes
         if self.pyramid_fanout and profile.agg_path and inner >= 1.0:
             # The pyramid answers the inner box from summarized nodes:
-            # replace its one-get-per-cell term with the decomposition's
-            # node + fringe count (the exact planner geometry).
-            from repro.pyramid.build import levels_for_extent
+            # replace its one-get-per-cell term with the planner's cover
+            # of a worst-case box misaligned to origin 1 (an aligned box
+            # covers with fewer nodes; never under-price a layout).
+            from repro.pyramid import decompose_region, levels_for_extent
             levels = max(levels_for_extent(max(1, int(c)),
                                            self.pyramid_fanout)
                          for c in cell_counts.values())
-            probes = (probes - inner) + self.cost_model.pyramid_probe_count(
-                [max(1, int(e)) for e in inner_extents],
-                self.pyramid_fanout, levels)
+            probes = (probes - inner) + decompose_region(
+                (1,) * len(inner_extents), tuple(map(int, inner_extents)),
+                (), self.pyramid_fanout, levels).probes
         fraction = min(1.0, scan_cells / grid_cells)
         return self.cost_model.layout_route_seconds(
             probes,

@@ -263,7 +263,8 @@ class CostModel:
         """Estimated query cost of scanning one replica layout: the GFU
         probes the grid search would issue, plus a map phase over the
         estimated paper-scale bytes/records the layout's slices hold.
-        Used by the replica-fleet router (:mod:`repro.core.dgf.fleet`) to
+        Used by the replica-fleet router
+        (:meth:`repro.core.dgf.handler.DgfIndexHandler._route_layout`) to
         pick the cheapest surviving layout; the estimate only ranks
         layouts — the chosen plan's reported time is still measured.
         The advisor's what-if evaluator (:mod:`repro.core.dgf.whatif`)
@@ -282,28 +283,6 @@ class CostModel:
                     + scaled_bytes / (slots * c.per_slot_disk_bandwidth)
                     + scaled_records * c.cpu_seconds_per_record / slots)
         return seconds
-
-    # ------------------------------------------------------- pyramid probes
-    def pyramid_probe_count(self, extents: Sequence[int], fanout: int,
-                            levels: int) -> int:
-        """KV probes the aggregation pyramid pays for an inner region of
-        ``extents[i]`` cells per dimension (vs ``prod(extents)`` flat
-        header gets).
-
-        Runs the planner's actual greedy decomposition
-        (:func:`repro.pyramid.decompose.cover_box`) on a worst-case
-        *misaligned* box (origin 1, not 0): an aligned box would cover
-        with fewer, larger nodes, and the router/advisor must never
-        under-price a layout.  Probe counts depend on grid geometry, not
-        data volume, so ``data_scale`` does not apply.
-        """
-        # Imported here: repro.pyramid imports the DGF stack, which
-        # imports this module.
-        from repro.pyramid.decompose import cover_box
-        lo = tuple(1 for _ in extents)
-        hi = tuple(max(1, int(e)) for e in extents)
-        nodes, leaves = cover_box(lo, hi, frozenset(), fanout, levels)
-        return len(nodes) + len(leaves)
 
     # ------------------------------------------------------------ raw writes
     def sequential_write_seconds(self, nbytes: int,

@@ -50,6 +50,7 @@ def cover_box(lo: Coords, hi: Coords, blocked: FrozenSet[Coords],
     A block is emitted as a node only when it lies entirely inside the
     box and contains no ``blocked`` cell (cells whose summaries may not
     be used — tombstone-demoted inner cells); everything else recurses
+    into its box-intersecting children (aggregated k²-tree range search)
     down to level-0 ``leaves``.  Traversal order is canonical (sorted
     blocks, children ascending), so the cover — and therefore every
     downstream float fold — is deterministic.
@@ -58,16 +59,13 @@ def cover_box(lo: Coords, hi: Coords, blocked: FrozenSet[Coords],
     leaves: List[Coords] = []
 
     def recurse(level: int, block: Coords) -> None:
-        size = fanout ** level
-        region_lo = tuple(b * size for b in block)
-        region_hi = tuple(b * size + size - 1 for b in block)
-        if any(rlo > h or rhi < l for rlo, rhi, l, h
-               in zip(region_lo, region_hi, lo, hi)):
-            return
         if level == 0:
             if block not in blocked:
                 leaves.append(block)
             return
+        size = fanout ** level
+        region_lo = tuple(b * size for b in block)
+        region_hi = tuple(b * size + size - 1 for b in block)
         inside = all(l <= rlo and rhi <= h for rlo, rhi, l, h
                      in zip(region_lo, region_hi, lo, hi))
         if inside and not any(
@@ -76,8 +74,12 @@ def cover_box(lo: Coords, hi: Coords, blocked: FrozenSet[Coords],
                 for cell in blocked):
             nodes.append((level, block))
             return
-        for child in children_of(block, fanout):
-            recurse(level - 1, child)
+        child = size // fanout
+        for sub in product(*[range(max(b * fanout, l // child),
+                                   min(b * fanout + fanout - 1,
+                                       h // child) + 1)
+                             for b, l, h in zip(block, lo, hi)]):
+            recurse(level - 1, sub)
 
     top = fanout ** levels
     for block in product(*[range(l // top, h // top + 1)

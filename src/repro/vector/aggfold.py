@@ -65,9 +65,9 @@ def fold_count_star(aggregate: CompiledAggregate, state: Any,
 
 def _chain_sum(np, chain) -> float:
     """Left-to-right float sum of ``chain`` (the row engine's merge
-    order).  Python's ``inf + -inf`` is a silent ``nan``, so NumPy's
-    invalid-value warning for the same bits is suppressed."""
-    with np.errstate(invalid="ignore"):
+    order).  Python's ``inf + -inf`` (``nan``) and overflow (``inf``) are
+    silent, so NumPy's warnings for the same bits are suppressed."""
+    with np.errstate(invalid="ignore", over="ignore"):
         return float(np.add.accumulate(chain)[-1])
 
 

@@ -6,10 +6,15 @@ import datetime
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.hdfs.filesystem import HDFS
 from repro.hive.session import HiveSession, QueryOptions
 from repro.storage.schema import DataType, Schema
+
+# ``pytest --hypothesis-profile=ci``: a chance failure prints the blob
+# that replays it (``@reproduce_failure``).
+settings.register_profile("ci", print_blob=True)
 
 
 @pytest.fixture

@@ -9,7 +9,10 @@ metadata-cache coherence of pyramid nodes, and the cost-model / what-if
 pyramid probe estimates the router and advisor consume.
 """
 
+from itertools import product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import pyramid as pyr
 from repro.core.dgf.grid import search_grid
@@ -24,6 +27,7 @@ from repro.pyramid import (DEFAULT_FANOUT, PyramidNode, PyramidStore,
                            levels_for_extent, node_key, parse_node_key,
                            pyramid_levels, pyramid_store, rebuild_pyramid,
                            resolve_cover)
+from repro.pyramid.build import children_of
 from repro.storage.schema import DataType
 
 TABLE = "meterdata"
@@ -109,6 +113,77 @@ def test_cover_box_blocked_cells_are_excluded():
     assert (2, 2) not in covered
     assert covered == {(x, y) for x in range(4) for y in range(4)
                        if (x, y) != (2, 2)}
+
+
+def visit_every_child_cover(lo, hi, blocked, fanout, levels):
+    """Reference cover: visit every child of a partial block, then reject
+    the ones outside the box.  ``cover_box`` must emit the same nodes and
+    leaves in the same order while descending only into intersecting
+    children."""
+    nodes, leaves = [], []
+
+    def recurse(level, block):
+        size = fanout ** level
+        region_lo = tuple(b * size for b in block)
+        region_hi = tuple(b * size + size - 1 for b in block)
+        if any(rlo > h or rhi < l for rlo, rhi, l, h
+               in zip(region_lo, region_hi, lo, hi)):
+            return
+        if level == 0:
+            if block not in blocked:
+                leaves.append(block)
+            return
+        inside = all(l <= rlo and rhi <= h for rlo, rhi, l, h
+                     in zip(region_lo, region_hi, lo, hi))
+        if inside and not any(
+                all(rlo <= b <= rhi for rlo, rhi, b
+                    in zip(region_lo, region_hi, cell))
+                for cell in blocked):
+            nodes.append((level, block))
+            return
+        for child in children_of(block, fanout):
+            recurse(level - 1, child)
+
+    top = fanout ** levels
+    for block in product(*[range(l // top, h // top + 1)
+                           for l, h in zip(lo, hi)]):
+        recurse(levels, tuple(block))
+    return nodes, leaves
+
+
+@st.composite
+def cover_cases(draw):
+    dims = draw(st.integers(1, 3))
+    fanout = draw(st.integers(2, 4))
+    levels = draw(st.integers(0, 4))
+    lo, hi = [], []
+    for _ in range(dims):
+        a = draw(st.integers(0, 20))
+        lo.append(a)
+        hi.append(a + draw(st.integers(-1, 12 if dims < 3 else 5)))
+    cells = list(product(*[range(l, h + 1) for l, h in zip(lo, hi)]))
+    blocked = draw(st.sets(st.sampled_from(cells), max_size=4)) \
+        if cells else set()
+    return tuple(lo), tuple(hi), frozenset(blocked), fanout, levels, cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(cover_cases())
+def test_cover_box_is_exact_and_matches_reference(case):
+    lo, hi, blocked, fanout, levels, cells = case
+    nodes, leaves = cover_box(lo, hi, blocked, fanout, levels)
+    assert (nodes, leaves) == visit_every_child_cover(lo, hi, blocked,
+                                                      fanout, levels)
+    covered = list(leaves)
+    for level, block in nodes:
+        assert 1 <= level <= levels
+        size = fanout ** level
+        covered.extend(product(*[range(b * size, b * size + size)
+                                 for b in block]))
+    # Disjoint, inside the box, free of blocked cells, and together the
+    # box minus the blocked cells.
+    assert len(covered) == len(set(covered))
+    assert set(covered) == set(cells) - blocked
 
 
 def test_fold_children_merges_headers_and_counts():
@@ -434,11 +509,12 @@ def cache_keys(cache):
 
 # ------------------------------------------------------- cost and what-if
 def test_pyramid_probe_count_beats_flat():
-    model = CostModel()
+    # The what-if evaluator's worst case: a box misaligned by one cell.
     for extent in (10, 50, 100, 200):
         flat = extent * extent
         levels = levels_for_extent(extent, 2)
-        probes = model.pyramid_probe_count([extent, extent], 2, levels)
+        probes = decompose_region((1, 1), (extent, extent), (), 2,
+                                  levels).probes
         assert probes < flat
         if extent >= 100:
             assert flat / probes >= 10

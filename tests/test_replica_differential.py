@@ -301,6 +301,18 @@ def test_rebuild_drops_stale_fleet():
     assert result.plan.access.layout is None
 
 
+@pytest.mark.xfail(strict=True, reason="compaction drops every replica "
+                   "layout instead of applying its folded ops to them")
+def test_compaction_keeps_the_fleet():
+    from repro.delta import StreamingWriter
+    session = fleet_session()
+    before = [entry["name"] for entry in session.layout_report()]
+    writer = StreamingWriter(session.attach_delta("meterdata", "dgf_idx"))
+    writer.insert([(33, 3, "2012-12-03", 0.5)])
+    writer.compact()
+    assert [entry["name"] for entry in session.layout_report()] == before
+
+
 def test_fleet_logically_identical_through_query_service():
     """Routed fleet queries through the concurrent QueryService at
     several concurrency levels match the direct session."""
