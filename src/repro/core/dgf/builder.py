@@ -370,7 +370,7 @@ def append_with_dgf(session, table_name: str, index_name: str,
         for row in rows:
             table.schema.validate_row(row)
             writer.write_row(row)
-            touched.add(policy.key_of_row([row[p] for p in dim_positions]))
+            touched.add(policy.cells_of_row([row[p] for p in dim_positions]))
             count += 1
 
     if count == 0:
@@ -395,7 +395,7 @@ def append_with_dgf(session, table_name: str, index_name: str,
     # ancestor chains are recomputed — no full pyramid rebuild.
     from repro.pyramid import PYRAMID_STATE_KEY, refresh_cells
     if PYRAMID_STATE_KEY in index.state:
-        refresh_cells(session, index, sorted(touched))
+        refresh_cells(session, index, touched)
     # Replica layouts ingest the same staged rows before staging is
     # deleted — a fleet member is either current or dropped, never stale.
     from repro.core.dgf import fleet

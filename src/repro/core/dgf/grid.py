@@ -117,6 +117,11 @@ class GridRegion:
         return (tuple(lo for lo, _hi in self.covered),
                 tuple(hi for _lo, hi in self.covered))
 
+    @property
+    def inner_cells(self) -> Iterator[Tuple[int, ...]]:
+        """The inner cell vectors, in :attr:`inner_keys` order."""
+        return product(*(range(lo, hi + 1) for lo, hi in self.covered))
+
     def is_inner(self, cells: Sequence[int]) -> bool:
         return all(lo <= k <= hi
                    for k, (lo, hi) in zip(cells, self.covered))

@@ -64,7 +64,7 @@ def _avg_components(key: str) -> Optional[Tuple[str, str]]:
 
 def demote_suppressed_cells(region: GridRegion,
                             overlay) -> List[Tuple[int, ...]]:
-    """The tombstone-suppressed inner cells of ``region``, in key order.
+    """The tombstone-suppressed inner cells of ``region``, sorted.
 
     An inner cell with tombstones can no longer be answered from its
     pre-computed header (the header still counts suppressed rows), so it
@@ -81,8 +81,7 @@ def demote_suppressed_cells(region: GridRegion,
     """
     if overlay is None or not overlay.has_suppression:
         return []
-    cells = map(region.policy.cells_of_key, overlay.suppress)
-    return sorted(cell for cell in cells if region.is_inner(cell))
+    return sorted(cell for cell in overlay.suppress if region.is_inner(cell))
 
 
 def pyramid_cover(index: IndexInfo, layout_name: Optional[str],
@@ -187,13 +186,8 @@ class DgfIndexHandler(IndexHandler):
         # span (and the plan's delta fields) only appears when a candidate
         # cell is resident, so delta-free queries trace byte-identically
         # to the pre-streaming engine.
-        overlay = None
-        if binding is not None and binding.overlapping_cells(intervals):
-            with tracer.span("delta:merge") as merge_span:
-                overlay = binding.build_overlay(intervals)
-                merge_span.add("delta.cells", overlay.num_cells)
-                merge_span.add("delta.rows", overlay.num_rows)
-                merge_span.add("delta.suppressed", overlay.num_suppressed)
+        overlay = binding.merge_on_read(intervals) \
+            if binding is not None else None
 
         suppressed = demote_suppressed_cells(region, overlay)
         inner_count = region.inner_count - len(suppressed)
@@ -240,8 +234,10 @@ class DgfIndexHandler(IndexHandler):
                 else:
                     inner_keys = region.inner_keys
                     if suppressed:
-                        inner_keys = [key for key in inner_keys
-                                      if key not in overlay.suppress]
+                        inner_keys = [
+                            key for key, cell in zip(inner_keys,
+                                                     region.inner_cells)
+                            if cell not in overlay.suppress]
                     inner_values = store.multi_get(inner_keys)
                     inner_hits = len(inner_values)
                     header_states = self._merge_headers(
@@ -349,7 +345,7 @@ class DgfIndexHandler(IndexHandler):
             if dead:
                 span.set("dead", ",".join(sorted(dead)))
 
-            resident = binding is not None and binding.resident_cells
+            resident = binding is not None and binding.has_resident_cells
             forced = ctx.force_layout
             scored = {}
             if forced is not None:

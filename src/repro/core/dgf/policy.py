@@ -111,12 +111,11 @@ class DimensionPolicy:
             return str(int(start))
         return str(start)
 
-    def parse_label(self, label: str) -> Any:
-        """Inverse of :meth:`label`: the raw cell-start value."""
-        if self.dtype is DataType.DATE:
-            return label
-        value = float(label)
-        return int(value) if value == int(value) else value
+    def cell_of_label(self, label: str) -> int:
+        """Inverse of :meth:`label`: the cell ``label`` is the start of.
+        Rounds, as a start far out on a fine grid can land a hair low."""
+        offset = (self.to_coord(label) - self._origin_coord) / self.interval
+        return int(round(offset))
 
     # ------------------------------------------------------------ intervals
     def cell_span(self, interval: Optional[Interval],
@@ -247,7 +246,7 @@ class SplittingPolicy:
             raise DGFError(
                 f"GFUKey {key!r} has {len(labels)} segments, policy has "
                 f"{len(self.dimensions)} dimensions")
-        return tuple(dim.cell_of(dim.parse_label(label))
+        return tuple(dim.cell_of_label(label)
                      for dim, label in zip(self.dimensions, labels))
 
     # --------------------------------------------------------------- regions

@@ -392,8 +392,10 @@ class Compactor:
             # never cover an unfolded op.
             from repro.pyramid import PYRAMID_STATE_KEY, refresh_cells
             if PYRAMID_STATE_KEY in binding.index.state:
-                refresh_cells(session, binding.index, sorted(snap),
-                              keep_demoted=binding.resident_cells)
+                refresh_cells(session, binding.index,
+                              map(policy.cells_of_key, snap),
+                              keep_demoted=map(policy.cells_of_key,
+                                               binding.resident_cells))
             return {"pruned": report.pruned_ops}
 
         workflow = Workflow(f"delta-compact-{table.name.lower()}")

@@ -7,9 +7,9 @@ unchanged:
 
 * **Tombstone filtering** — base rows whose primary key was upserted or
   deleted after the cell's ``compacted_seq`` watermark are suppressed as
-  the record reader yields them (per-row cell routing via the grid
-  policy, so a split covering several cells filters each against its own
-  cell's tombstones).
+  the record reader yields them.  Tombstones are keyed by cell tuple and
+  each row is routed to its own cell with ``cells_of_row``: no GFU key is
+  formatted per row (keys only address the KV store and name splits).
 * **Synthetic delta splits** — each resident cell overlapping the query
   region contributes one extra :class:`FileSplit` (``delta://`` path, no
   bytes on HDFS) carrying its surviving delta rows in sequence order, so
@@ -76,9 +76,9 @@ class DeltaOverlay:
     table: str
     schema: Schema
     binding: "DeltaBinding"
-    #: cell -> frozen set of primary keys to suppress from base rows
-    suppress: Dict[str, frozenset] = field(default_factory=dict)
-    #: cell -> surviving delta rows in sequence order
+    #: cell coordinates -> frozen set of primary keys to suppress
+    suppress: Dict[Tuple[int, ...], frozenset] = field(default_factory=dict)
+    #: GFU key -> surviving delta rows in sequence order
     pending: Dict[str, List[tuple]] = field(default_factory=dict)
     #: resident cells probed for this region (>= the affected cells)
     num_cells: int = 0
@@ -100,8 +100,10 @@ class DeltaOverlay:
     def row_suppressed(self, row: Sequence[Any]) -> bool:
         """Is this base row tombstoned?  Routes the row to its grid cell
         first, so only its own cell's tombstones apply."""
-        doomed = self.suppress.get(self.binding.row_cell(row))
-        return bool(doomed) and self.binding.row_key(row) in doomed
+        binding = self.binding
+        doomed = self.suppress.get(binding.policy.cells_of_row(
+            [row[p] for p in binding.dim_positions]))
+        return bool(doomed) and binding.row_key(row) in doomed
 
     def synthetic_splits(self) -> List[FileSplit]:
         """One zero-byte split per cell with pending rows, sorted by cell

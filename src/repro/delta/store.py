@@ -164,14 +164,13 @@ class DeltaBinding:
             self._dims_in_key = [lowered.index(d.lower())
                                  for d in self.policy.names]
         self._lock = threading.RLock()
-        if state is not None:
-            self._seq = state["seq"]
-            self._resident = set(state["cells"])
-            self._resident_ops = state.get("ops", 0)
-        else:
-            self._seq = 0
-            self._resident = set()
-            self._resident_ops = 0
+        # The resident registry maps each GFU key to its cell tuple,
+        # parsed once here; the keys only name KV entries.
+        state = state or {"seq": 0, "cells": []}
+        self._seq = state["seq"]
+        self._resident: Dict[str, Tuple[int, ...]] = {
+            key: self.policy.cells_of_key(key) for key in state["cells"]}
+        self._resident_ops = state.get("ops", 0)
 
     # ------------------------------------------------------------ inspection
     @property
@@ -180,6 +179,11 @@ class DeltaBinding:
         everything has been compacted away)."""
         with self._lock:
             return tuple(sorted(self._resident))
+
+    @property
+    def has_resident_cells(self) -> bool:
+        """The query path's residency check (no sort, no parse)."""
+        return bool(self._resident)
 
     @property
     def resident_ops(self) -> int:
@@ -205,17 +209,10 @@ class DeltaBinding:
         return names
 
     # -------------------------------------------------------------- routing
-    def row_cell(self, row: Sequence[Any]) -> str:
-        return self.policy.key_of_row([row[p] for p in self.dim_positions])
-
     def row_key(self, row: Sequence[Any]) -> Optional[Tuple]:
         if self.key_positions is None:
             return None
         return tuple(row[p] for p in self.key_positions)
-
-    def key_cell(self, key: Sequence[Any]) -> str:
-        assert self._dims_in_key is not None
-        return self.policy.key_of_row([key[p] for p in self._dims_in_key])
 
     # --------------------------------------------------------------- ingest
     def ingest(self, ops: Sequence[Tuple[str, Sequence[Any]]]) -> int:
@@ -231,20 +228,17 @@ class DeltaBinding:
             return 0
         schema = self.table.schema
         with self._lock:
-            grouped: Dict[str, List[tuple]] = {}
+            grouped: Dict[Tuple[int, ...], List[tuple]] = {}
             for kind, payload in ops:
                 self._seq += 1
-                if kind == "insert":
+                if kind in ("insert", "upsert"):
+                    if kind == "upsert":
+                        self._require_keys(kind)
                     schema.validate_row(payload)
                     row = tuple(payload)
-                    grouped.setdefault(self.row_cell(row), []).append(
-                        (self._seq, INSERT, self.row_key(row), row))
-                elif kind == "upsert":
-                    self._require_keys(kind)
-                    schema.validate_row(payload)
-                    row = tuple(payload)
-                    grouped.setdefault(self.row_cell(row), []).append(
-                        (self._seq, UPSERT, self.row_key(row), row))
+                    op = (self._seq, INSERT if kind == "insert" else UPSERT,
+                          self.row_key(row), row)
+                    dims = [row[p] for p in self.dim_positions]
                 elif kind == "delete":
                     self._require_keys(kind)
                     key = tuple(payload)
@@ -252,15 +246,17 @@ class DeltaBinding:
                         raise DeltaError(
                             f"delete key has {len(key)} values; "
                             f"key_columns is {list(self.key_columns)}")
-                    grouped.setdefault(self.key_cell(key), []).append(
-                        (self._seq, DELETE, key, None))
+                    op = (self._seq, DELETE, key, None)
+                    dims = [key[p] for p in self._dims_in_key]
                 else:
                     raise DeltaError(f"unknown delta op kind {kind!r}")
-            for cell in sorted(grouped):
-                existing = self.delta_store.get_cell(cell) or []
-                self.delta_store.put_cell(cell,
-                                          list(existing) + grouped[cell])
-                self._resident.add(cell)
+                grouped.setdefault(self.policy.cells_of_row(dims),
+                                   []).append(op)
+            for key, cell in sorted((self.policy.key_of_cells(cell), cell)
+                                    for cell in grouped):
+                existing = self.delta_store.get_cell(key) or []
+                self.delta_store.put_cell(key, list(existing) + grouped[cell])
+                self._resident[key] = cell
             self._resident_ops += len(ops)
             self._save_state()
             # Delta-resident cells can no longer be answered from any
@@ -269,7 +265,7 @@ class DeltaBinding:
             # markers are recomputed at compaction).
             from repro.pyramid import PYRAMID_STATE_KEY, demote_cells
             if PYRAMID_STATE_KEY in self.index.state:
-                demote_cells(self.session, self.index, sorted(grouped))
+                demote_cells(self.session, self.index, grouped)
         return len(ops)
 
     def _require_keys(self, kind: str) -> None:
@@ -320,7 +316,7 @@ class DeltaBinding:
                     self.delta_store.put_cell(cell, keep)
                 else:
                     self.delta_store.delete_cell(cell)
-                    self._resident.discard(cell)
+                    self._resident.pop(cell, None)
             self._resident_ops = max(0, self._resident_ops - removed)
             self._save_state()
         return removed
@@ -335,29 +331,44 @@ class DeltaBinding:
 
     # ---------------------------------------------------------- merge-on-read
     def overlapping_cells(self, intervals: Optional[Dict[str, Optional[
-            Interval]]] = None) -> List[str]:
-        """Resident cells overlapping a query region (sorted).  Unlike the
-        base grid search this is *not* clamped to build-time bounds, so
-        delta cells outside the base grid still surface.  ``None`` means
-        the whole table (full scans)."""
-        cells = self.resident_cells
-        if intervals is None or not cells:
-            return list(cells)
-        coords = [self.policy.cells_of_key(cell) for cell in cells]
-        # One overlapped range per dimension, clamped only to the
-        # resident cells' own extent.
-        ranges = [overlapped_range(dim, intervals.get(dim.name.lower()),
-                                   min(axis), max(axis))
-                  for dim, axis in zip(self.policy.dimensions,
-                                       zip(*coords))]
-        return [cell for cell, coord in zip(cells, coords)
-                if all(lo <= k <= hi
-                       for k, (lo, hi) in zip(coord, ranges))]
+            Interval]]] = None) -> List[Tuple[str, Tuple[int, ...]]]:
+        """Resident ``(key, cell)`` pairs overlapping a query region, in
+        key order.  Unlike the base grid search this is *not* clamped to
+        build-time bounds, so delta cells outside the base grid still
+        surface.  ``None`` means the whole table (full scans)."""
+        with self._lock:
+            cells = list(self._resident.items())
+        if intervals is not None and cells:
+            # One overlapped range per dimension, clamped only to the
+            # resident cells' own extent.
+            ranges = [overlapped_range(dim, intervals.get(dim.name.lower()),
+                                       min(axis), max(axis))
+                      for dim, axis in zip(self.policy.dimensions,
+                                           zip(*(c for _k, c in cells)))]
+            cells = [(key, cell) for key, cell in cells
+                     if all(lo <= k <= hi
+                            for k, (lo, hi) in zip(cell, ranges))]
+        return sorted(cells)
 
-    def build_overlay(self, intervals: Optional[Dict[str, Optional[
+    def merge_on_read(self, intervals: Optional[Dict[str, Optional[
             Interval]]] = None) -> Optional["DeltaOverlay"]:
-        """The resolved merge-on-read view for a query region, or None
-        when no resident cell overlaps it.
+        """A plan's ``delta:merge`` step: one overlap test, then the
+        overlay's KV reads inside the span.  None, and no span, when no
+        resident cell overlaps the region."""
+        cells = self.overlapping_cells(intervals)
+        if not cells:
+            return None
+        with self.session.tracer.span("delta:merge") as span:
+            overlay = self.build_overlay(cells)
+            span.add("delta.cells", overlay.num_cells)
+            span.add("delta.rows", overlay.num_rows)
+            span.add("delta.suppressed", overlay.num_suppressed)
+        return overlay
+
+    def build_overlay(self, cells: Sequence[Tuple[str, Tuple[int, ...]]]
+                      ) -> "DeltaOverlay":
+        """The resolved merge-on-read view of the ``(key, cell)`` pairs
+        :meth:`overlapping_cells` returned.
 
         Ordering contract with the compactor: the delta cells are read
         *before* the base values whose ``compacted_seq`` watermarks gate
@@ -367,22 +378,20 @@ class DeltaBinding:
         base, never both and never neither.
         """
         from repro.delta.overlay import DeltaOverlay, resolve_ops
-        cells = self.overlapping_cells(intervals)
-        if not cells:
-            return None
-        delta_cells = self.delta_store.load_cells(cells)
-        base_values = self.dgf_store.multi_get(cells)
-        suppress: Dict[str, frozenset] = {}
+        keys = [key for key, _cell in cells]
+        delta_cells = self.delta_store.load_cells(keys)
+        base_values = self.dgf_store.multi_get(keys)
+        suppress: Dict[Tuple[int, ...], frozenset] = {}
         pending: Dict[str, List[tuple]] = {}
-        for cell in cells:
-            ops = delta_cells.get(cell, [])
-            base = base_values.get(cell)
+        for key, cell in cells:
+            base = base_values.get(key)
             watermark = base.compacted_seq if base is not None else 0
-            doomed, rows = resolve_ops(ops, watermark, self.row_key)
+            doomed, rows = resolve_ops(delta_cells.get(key, []), watermark,
+                                       self.row_key)
             if doomed:
                 suppress[cell] = frozenset(doomed)
             if rows:
-                pending[cell] = rows
+                pending[key] = rows
         return DeltaOverlay(table=self.table.name,
                             schema=self.table.schema,
                             binding=self,

@@ -633,7 +633,7 @@ class HiveSession:
         if analysis.joins:
             for step in analysis.joins:
                 side = self.delta_binding(step.table.name)
-                if side is not None and side.resident_cells:
+                if side is not None and side.has_resident_cells:
                     raise ExecutionError(
                         f"join build side {step.table.name!r} has resident "
                         "streaming deltas; compact them before joining "
@@ -829,7 +829,7 @@ class HiveSession:
                     f"forced index {options.index_name!r} not found on "
                     f"{table.name!r}")
         binding = self.delta_binding(table.name)
-        if binding is not None and binding.resident_cells:
+        if binding is not None and binding.has_resident_cells:
             # Merge-on-read only understands the bound index's grid: any
             # other access path would miss resident delta rows.  A table
             # with no resident ops plans exactly as an unbound one.
@@ -880,7 +880,7 @@ class HiveSession:
                     table, columns=self._pruned_columns(analysis))
             return plan.splits, fmt, None
         binding = self.delta_binding(table.name)
-        if binding is not None and not binding.resident_cells:
+        if binding is not None and not binding.has_resident_cells:
             binding = None
         columns = self._pruned_columns(analysis)
         if binding is not None and columns is not None:
@@ -892,16 +892,10 @@ class HiveSession:
         fmt = formats.input_format_for(table, columns=columns)
         paths = self._pruned_paths(analysis)
         splits = fmt.get_splits(self.fs, paths)
-        if binding is None:
+        overlay = binding.merge_on_read() if binding is not None else None
+        if overlay is None:
             return splits, fmt, None
         from repro.delta.overlay import DeltaOverlayInputFormat
-        with self.tracer.span("delta:merge") as merge_span:
-            overlay = binding.build_overlay(None)
-            if overlay is None:  # pragma: no cover - resident check above
-                return splits, fmt, None
-            merge_span.add("delta.cells", overlay.num_cells)
-            merge_span.add("delta.rows", overlay.num_rows)
-            merge_span.add("delta.suppressed", overlay.num_suppressed)
         return (splits + overlay.synthetic_splits(),
                 DeltaOverlayInputFormat(fmt, overlay),
                 (overlay.num_cells, overlay.num_rows))

@@ -246,16 +246,20 @@ class CostModel:
                                  index_records: int) -> TimeBreakdown:
         """Hive scans the whole index table (an MR job in real Hive; the
         paper counts it inside "read index and other")."""
+        return TimeBreakdown(read_index_and_other=self._map_phase_seconds(
+            index_bytes, index_records))
+
+    def _map_phase_seconds(self, nbytes: float, records: float) -> float:
+        """One map phase over ``nbytes`` / ``records``, rescaled to the
+        paper's size: task start-up waves, disk reads and record CPU."""
         c = self.cluster
-        scaled_bytes = index_bytes * self.data_scale
-        scaled_records = index_records * self.data_scale
+        scaled_bytes = nbytes * self.data_scale
+        scaled_records = records * self.data_scale
         tasks = max(1, math.ceil(scaled_bytes / c.paper_block_size))
         slots = max(1, min(tasks, c.total_map_slots))
-        seconds = (math.ceil(tasks / c.total_map_slots)
-                   * c.task_startup_seconds
-                   + scaled_bytes / (slots * c.per_slot_disk_bandwidth)
-                   + scaled_records * c.cpu_seconds_per_record / slots)
-        return TimeBreakdown(read_index_and_other=seconds)
+        return (math.ceil(tasks / c.total_map_slots) * c.task_startup_seconds
+                + scaled_bytes / (slots * c.per_slot_disk_bandwidth)
+                + scaled_records * c.cpu_seconds_per_record / slots)
 
     # -------------------------------------------------------- layout routing
     def layout_route_seconds(self, kv_gets: float, est_records: float,
@@ -272,17 +276,8 @@ class CostModel:
         geometric estimates instead of stored per-layout statistics, so
         it cannot recommend a layout the router would not pick.
         """
-        c = self.cluster
-        seconds = kv_gets * c.kv_get_seconds
-        scaled_bytes = est_bytes * self.data_scale
-        scaled_records = est_records * self.data_scale
-        tasks = max(1, math.ceil(scaled_bytes / c.paper_block_size))
-        slots = max(1, min(tasks, c.total_map_slots))
-        seconds += (math.ceil(tasks / c.total_map_slots)
-                    * c.task_startup_seconds
-                    + scaled_bytes / (slots * c.per_slot_disk_bandwidth)
-                    + scaled_records * c.cpu_seconds_per_record / slots)
-        return seconds
+        return (kv_gets * self.cluster.kv_get_seconds
+                + self._map_phase_seconds(est_bytes, est_records))
 
     # ------------------------------------------------------------ raw writes
     def sequential_write_seconds(self, nbytes: int,

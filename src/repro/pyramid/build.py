@@ -207,10 +207,11 @@ def rebuild_pyramid(session, index,
     return {"levels": levels, "nodes": nodes_written}
 
 
-def refresh_cells(session, index, cells: Iterable[str],
+def refresh_cells(session, index, cells: Iterable[Tuple[int, ...]],
                   layout_name: Optional[str] = None,
-                  keep_demoted: Iterable[str] = ()) -> int:
-    """Bottom-up recompute of the ancestor chains of ``cells``.
+                  keep_demoted: Iterable[Tuple[int, ...]] = ()) -> int:
+    """Bottom-up recompute of the ancestor chains of ``cells`` (cell
+    coordinates on the layout's grid).
 
     Used after appends (the touched cells advance along the time
     dimension) and after compaction folds deltas into the base GFUs.
@@ -230,9 +231,10 @@ def refresh_cells(session, index, cells: Iterable[str],
                               storage_index_name(index.name, layout_name))
     pstore = pyramid_store(session, table_name, index.name, layout_name)
     policy = store.load_policy()
-    coords = sorted({policy.cells_of_key(cell) for cell in cells})
+    coords = sorted(set(cells))
     if not coords:
         return 0
+    demoted_coords = set(keep_demoted)
     # A touched cell outside the built extent deepens the pyramid; the
     # new super-levels fold *all* existing blocks, so incremental repair
     # cannot stay local — escalate to a rebuild (rare: only when an
@@ -241,11 +243,9 @@ def refresh_cells(session, index, cells: Iterable[str],
                  for lo, hi in store.load_bounds().values())
     if needed > levels:
         summary = rebuild_pyramid(session, index, layout_name)
-        keep = list(keep_demoted)
-        if keep:
-            demote_cells(session, index, keep, layout_name)
+        if demoted_coords:
+            demote_cells(session, index, demoted_coords, layout_name)
         return summary["nodes"]
-    demoted_coords = {policy.cells_of_key(cell) for cell in keep_demoted}
     fns: Dict[str, AggFunction] = {}
     touched = 0
     with session.tracer.span("pyramid:refresh") as span:
@@ -289,9 +289,9 @@ def refresh_cells(session, index, cells: Iterable[str],
     return touched
 
 
-def demote_cells(session, index, cells: Iterable[str],
+def demote_cells(session, index, cells: Iterable[Tuple[int, ...]],
                  layout_name: Optional[str] = None) -> int:
-    """Mark the ancestor chains of ``cells`` as demoted.
+    """Mark the ancestor chains of ``cells`` (cell coordinates) as demoted.
 
     Called when streaming deltas land on (or tombstone) a cell: its
     pre-computed summaries are stale until compaction, so every node
@@ -301,15 +301,11 @@ def demote_cells(session, index, cells: Iterable[str],
     levels = pyramid_levels(index, layout_name)
     if not levels:
         return 0
-    fanout = pyramid_fanout(index)
-    table_name = index.table
-    store = session.dgf_store(table_name,
-                              storage_index_name(index.name, layout_name))
-    pstore = pyramid_store(session, table_name, index.name, layout_name)
-    policy = store.load_policy()
-    coords = {policy.cells_of_key(cell) for cell in cells}
+    pstore = pyramid_store(session, index.table, index.name, layout_name)
+    coords = set(cells)
     if not coords:
         return 0
+    fanout = pyramid_fanout(index)
     marked = 0
     with session.tracer.span("pyramid:demote") as span:
         for level in range(1, levels + 1):

@@ -9,6 +9,12 @@ each live layout to score it, and the winner's region and cover *are*
 the plan — ``plan_access`` runs no second search and no second cover.
 Unscored paths (no fleet, a forced layout, a delta-pinned query) search
 exactly once and cover at most once.
+
+Cell-native deltas: inside the process a grid cell is its coordinate
+tuple, and a GFU key is formatted only where a KV key is read or
+written.  So merge-on-read formats no key per scanned row — ``label()``
+calls per query do not grow with the rows scanned — and planning parses
+no resident key, however many cells are resident.
 """
 
 from __future__ import annotations
@@ -19,9 +25,12 @@ from contextlib import contextmanager
 import pytest
 
 from repro.core.dgf import grid
+from repro.core.dgf.policy import DimensionPolicy, SplittingPolicy
 from repro.delta import StreamingWriter
 from repro.hive.session import HiveSession, QueryOptions
+from repro.mapreduce.cluster import ExecutionConfig
 from repro.pyramid import decompose
+from tests.harness import streaming
 
 TABLE = "meter"
 INDEX = "idx"
@@ -139,3 +148,57 @@ def test_groupby_slice_path_never_covers(fleet):
     assert planner_calls(fleet, GROUPBY) == (3, 0)
     assert planner_calls(fleet, GROUPBY,
                          QueryOptions(dgf_layout="fine")) == (1, 0)
+
+
+# ------------------------------------------------------- cell-native deltas
+def streamed_session(vectorized, row_copies=1, extra_cells=0):
+    """The streaming harness's table after its op script, with each base
+    row loaded ``row_copies`` times (same cells, more rows to scan) and
+    ``extra_cells`` more resident cells from inserts past the grid."""
+    session = HiveSession(execution=ExecutionConfig(vectorized=vectorized))
+    session.execute(streaming.DDL.format(fmt="TEXTFILE"))
+    session.load_rows(streaming.TABLE, [
+        (u, (r + copy) % 4, t, v) for u, r, t, v in streaming.base_rows()
+        for copy in range(row_copies)])
+    session.execute(streaming.INDEX_SQL)
+    writer = streaming.apply_stream(session)
+    writer.insert([(100 + 10 * i, 0, 100, 1.0) for i in range(extra_cells)])
+    writer.flush()
+    return session
+
+
+def battery_calls(monkeypatch, session):
+    """Per query of the streaming battery: ``(label calls, cells_of_key
+    calls)``."""
+    counts = {"label": 0, "cells_of_key": 0}
+    for cls, name in ((DimensionPolicy, "label"),
+                      (SplittingPolicy, "cells_of_key")):
+        def wrapper(*args, _fn=getattr(cls, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(cls, name, wrapper)
+    calls = []
+    for sql in streaming.QUERIES:
+        before = dict(counts)
+        session.execute(sql.format(t=streaming.TABLE))
+        calls.append((counts["label"] - before["label"],
+                      counts["cells_of_key"] - before["cells_of_key"]))
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("vectorized", [False, True])
+def test_merge_on_read_formats_no_key_per_row(monkeypatch, vectorized):
+    session = streamed_session(vectorized)
+    resident = len(session.delta_binding(streaming.TABLE).resident_cells)
+    base = battery_calls(monkeypatch, session)
+    more_rows = battery_calls(monkeypatch,
+                              streamed_session(vectorized, row_copies=4))
+    more_cells = battery_calls(monkeypatch, streamed_session(
+        vectorized, extra_cells=3 * resident))
+    # Labels come from the keys of fetched cells only: the same region
+    # formats the same labels at 4x the rows and at 4x resident cells.
+    assert more_rows == base
+    assert more_cells == base
+    # Planning parses no resident key: the registry holds coordinates.
+    assert [parsed for _labels, parsed in base] == [0] * len(base)

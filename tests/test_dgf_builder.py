@@ -263,6 +263,26 @@ class TestAppend:
                             "2012-12-01", 1.0)])
 
 
+def test_fine_double_grid_far_from_origin_matches_scan():
+    """~8e9 cells from the origin, a cell's parsed label used to floor one
+    cell low: the stored bounds stopped a cell short of the top row, and
+    the indexed answer dropped it."""
+    session = make_session()
+    session.execute("CREATE TABLE t (x double, v double)")
+    session.load_rows("t", [(8357516.169016641, 1.0), (8357516.0, 2.0),
+                            (8357515.5, 4.0)])
+    session.execute(
+        "CREATE INDEX d ON TABLE t(x) AS 'dgf' IDXPROPERTIES "
+        "('x'='246035.5799588035_0.001', 'precompute'='sum(v),count(*)')")
+    store = DgfStore(session.kvstore, "t", "d")
+    top_cell = store.load_policy().cells_of_row([8357516.169016641])[0]
+    assert store.load_bounds()["x"][1] == top_cell
+    sql = ("SELECT sum(v), count(*) FROM t "
+           "WHERE x >= 8357515.0 AND x <= 8357517.0")
+    assert session.execute(sql).rows == session.execute(sql, SCAN).rows \
+        == [(7.0, 3)]
+
+
 class TestAllBaseFormats:
     """DGFIndex works over TextFile, RCFile and SequenceFile base tables
     (the paper ships TextFile only and calls the rest 'easy to extend')."""

@@ -1,7 +1,9 @@
 """Tests for splitting policies and grid geometry."""
 
+import datetime
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.dgf.policy import DimensionPolicy, SplittingPolicy
@@ -71,7 +73,7 @@ class TestDimensionPolicy:
                                     origin=0, interval=0.25)):
             for k in (0, 1, 5):
                 label = dim.label(k)
-                assert dim.cell_of(dim.parse_label(label)) == k
+                assert dim.cell_of_label(label) == k
 
     def test_invalid_interval(self):
         with pytest.raises(DGFError):
@@ -216,3 +218,42 @@ def test_property_float_cells_consistent(origin, interval, value):
     # allow the epsilon guard at boundaries
     assert dim.cell_start(k) <= value + 1e-6
     assert value - 1e-6 < dim.cell_end(k)
+
+
+@st.composite
+def dimension_and_value(draw):
+    """One dimension of any indexed type, with a negative (and, on
+    DOUBLE, fractional) origin, and a value far below or above it."""
+    dtype = draw(st.sampled_from([DataType.INT, DataType.BIGINT,
+                                  DataType.DATE, DataType.DOUBLE]))
+    if dtype is DataType.DATE:
+        epoch = datetime.date(2000, 1, 1)
+
+        def day(offset):
+            return (epoch + datetime.timedelta(days=offset)).isoformat()
+        return (date_dim(origin=day(draw(st.integers(0, 9000))),
+                         interval=draw(st.integers(1, 40))),
+                day(draw(st.integers(0, 18000))))
+    if dtype is DataType.DOUBLE:
+        dim = numeric_dim(origin=draw(st.floats(-1e6, 1e6)),
+                          interval=draw(st.floats(1e-3, 1e3)),
+                          dtype=dtype)
+        return dim, draw(st.floats(-1e7, 1e7))
+    return (numeric_dim(origin=draw(st.integers(-10 ** 6, 10 ** 6)),
+                        interval=draw(st.integers(1, 1000)), dtype=dtype),
+            draw(st.integers(-10 ** 9, 10 ** 9)))
+
+
+@settings(max_examples=300, deadline=None)
+@example(case=(numeric_dim(origin=246035.5799588035, interval=0.001,
+                           dtype=DataType.DOUBLE), 8357516.169016641))
+@given(case=dimension_and_value())
+def test_property_cells_of_key_inverts_key_of_row(case):
+    """A row's GFU key parses back to the row's own cell: the key is only
+    the storage format of the coordinates, never a lossy one.  The pinned
+    example sits ~8e9 cells from the origin, where flooring the parsed
+    label used to land one cell low."""
+    dim, value = case
+    policy = SplittingPolicy([dim])
+    assert policy.cells_of_key(policy.key_of_row([value])) \
+        == policy.cells_of_row([value])

@@ -406,16 +406,16 @@ def test_demote_suppressed_cells_helper():
     assert demote_suppressed_cells(region, FakeOverlay({})) == []
     # Only *inner* cells demote: a tombstoned boundary or unrelated
     # cell is scanned (or skipped) anyway.
-    overlay = FakeOverlay({"20_3": frozenset({(1,)}), "0_3": frozenset(),
-                           "20_4": frozenset()})
+    overlay = FakeOverlay({(2, 3): frozenset({(1,)}), (0, 3): frozenset(),
+                           (2, 4): frozenset()})
     assert demote_suppressed_cells(region, overlay) == [(2, 3)]
     # Off the aggregation path no cell is inner.
     scan = search_grid(policy, intervals, bounds, force_all_boundary=True)
     assert demote_suppressed_cells(scan, overlay) == []
     # All-demoted edge: every inner cell suppressed -> pure slice path,
-    # demoted in key order whatever order the overlay lists them in.
-    overlay = FakeOverlay({"30_3": frozenset(), "10_3": frozenset(),
-                           "20_3": frozenset()})
+    # demoted in cell order whatever order the overlay lists them in.
+    overlay = FakeOverlay({(3, 3): frozenset(), (1, 3): frozenset(),
+                           (2, 3): frozenset()})
     demoted = demote_suppressed_cells(region, overlay)
     assert [policy.key_of_cells(cell) for cell in demoted] \
         == region.inner_keys
