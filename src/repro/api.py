@@ -47,7 +47,7 @@ knob belongs to, rather than being silently dropped.
 from __future__ import annotations
 
 import dataclasses
-
+import math
 from typing import (Any, Iterable, Iterator, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
@@ -187,6 +187,10 @@ def _render_param(value: Any) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise InterfaceError(
+                f"cannot bind non-finite float {value!r}: the HiveQL "
+                "dialect has no literal for it")
         return repr(value)
     if isinstance(value, str):
         if "'" in value or '"' in value:

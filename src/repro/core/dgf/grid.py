@@ -10,7 +10,9 @@ region answers counts, the inner box and membership in O(dims); GFUKey
 strings are an encoding detail it produces on demand, for exactly the
 cells a caller is about to fetch from the KV store.
 
-Dimensions missing from the predicate use the min/max standardized values
+Each dimension is classified by ``DimensionPolicy.cell_ranges``: one
+``cell_of`` lookup per predicate endpoint, the function that placed the
+rows.  Dimensions missing from the predicate use the min/max cells
 recorded at construction time (the paper's partial-specified query
 handling), which arrive here as the ``bounds`` clamp.
 """
@@ -20,36 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import prod
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.dgf.policy import (KEY_SEPARATOR, DimensionPolicy,
-                                   SplittingPolicy)
+from repro.core.dgf.policy import KEY_SEPARATOR, CellRange, SplittingPolicy
 from repro.hiveql.predicates import Interval
-
-#: inclusive cell-index range of one dimension; ``lo > hi`` means empty
-CellRange = Tuple[int, int]
-
-
-def _trim(lo: int, hi: int, keep: Callable[[int], bool]) -> CellRange:
-    """Shrink ``[lo, hi]`` to the cells satisfying ``keep``.  Exact for a
-    predicate that is convex in ``k`` (true on one contiguous run), so
-    only the ends are ever tested."""
-    while lo <= hi and not keep(lo):
-        lo += 1
-    while lo <= hi and not keep(hi):
-        hi -= 1
-    return lo, hi
-
-
-def overlapped_range(dim: DimensionPolicy, interval: Optional[Interval],
-                     k_min: int, k_max: int) -> CellRange:
-    """Cells of ``dim`` within ``[k_min, k_max]`` that overlap
-    ``interval`` (None = unconstrained)."""
-    span = dim.cell_span(interval, k_min, k_max)
-    if span is None:
-        return 0, -1
-    return _trim(*span, lambda k: dim.overlaps_cell(interval, k))
 
 
 def _volume(ranges: Sequence[CellRange]) -> int:
@@ -167,12 +143,8 @@ def search_grid(policy: SplittingPolicy,
     covered: List[CellRange] = []
     for dim in policy.dimensions:
         name = dim.name.lower()
-        interval = intervals.get(name)
-        lo, hi = overlapped_range(dim, interval, *bounds[name])
+        (lo, hi), inner = dim.cell_ranges(intervals.get(name),
+                                          *bounds[name])
         overlapped.append((lo, hi))
-        if force_all_boundary:
-            covered.append((lo, lo - 1))
-        else:
-            covered.append(_trim(
-                lo, hi, lambda k: dim.covers_cell(interval, k)))
+        covered.append((lo, lo - 1) if force_all_boundary else inner)
     return GridRegion(policy, tuple(overlapped), tuple(covered))

@@ -1,26 +1,32 @@
 """Splitting policies: the grid geometry of a DGFIndex.
 
-A policy gives every index dimension an *origin* and an *interval size*;
-dimension values are "standardized" (paper's term) to the lower coordinate
-of their grid cell.  Cells are left-closed/right-open, matching the paper's
-``[1, 4)`` example.
+A policy gives every index dimension an *origin* and an *interval size*.
+Cells are left-closed/right-open, matching the paper's ``[1, 4)`` example.
 
 Coordinates are handled in an internal numeric space: numeric columns map
 to themselves, DATE columns map to proleptic ordinal days, so "1 day"
-intervals are exact integer arithmetic.  Discrete dimensions (INT, BIGINT,
-DATE) know that a cell ``[lo, hi)`` contains only the integers
-``lo .. hi-1``, which makes equality predicates (e.g. ``time =
-'2012-12-30'`` with 1-day cells, the paper's partial-specified query) cover
-whole cells and thus benefit from pre-computed headers.
+intervals are exact integer arithmetic.
+
+One membership rule decides which cell holds a value:
+:meth:`DimensionPolicy.cell_of`.  It places rows at build and append
+time, and :meth:`DimensionPolicy.cell_ranges` classifies predicate
+endpoints with it, so the cells a query reads are exactly the cells its
+rows were written to.  Discrete dimensions (INT, BIGINT, DATE) hold only
+integers, so an equality predicate (e.g. ``time = '2012-12-30'`` with
+1-day cells, the paper's partial-specified query) covers a whole cell and
+benefits from pre-computed headers.  Their origins and intervals must be
+integers, which keeps the GFUKey labels of distinct cells distinct.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import DGFError
+from repro.errors import DGFError, SemanticError
 from repro.hiveql.predicates import Interval
 from repro.storage.schema import (DataType, Schema, date_to_ordinal,
                                   ordinal_to_date)
@@ -30,6 +36,11 @@ _EPSILON = 1e-9
 
 #: GFUKey segment separator (the paper's ``7_13`` style keys)
 KEY_SEPARATOR = "_"
+
+#: inclusive cell-index range of one dimension; ``lo > hi`` means empty
+CellRange = Tuple[int, int]
+
+_EMPTY: CellRange = (0, -1)
 
 
 @dataclass(frozen=True)
@@ -55,11 +66,15 @@ class DimensionPolicy:
             raise DGFError(
                 f"dimension {self.name!r}: numeric origin required, "
                 f"got {self.origin!r}")
-        if self.dtype in (DataType.INT, DataType.BIGINT, DataType.DATE) \
-                and self.interval != int(self.interval):
+        if self.is_discrete and self.interval != int(self.interval):
             raise DGFError(
                 f"dimension {self.name!r}: discrete dimensions need an "
                 f"integer interval, got {self.interval}")
+        if self.dtype in (DataType.INT, DataType.BIGINT) \
+                and not float(self.origin).is_integer():
+            raise DGFError(
+                f"dimension {self.name!r}: integer dimensions need an "
+                f"integer origin, got {self.origin}")
 
     # ------------------------------------------------------- coordinate space
     @property
@@ -78,31 +93,30 @@ class DimensionPolicy:
             return int(round(coord))
         return coord
 
-    @property
+    @cached_property
     def _origin_coord(self) -> float:
         return self.to_coord(self.origin)
 
     # ---------------------------------------------------------------- cells
     def cell_of(self, raw: Any) -> int:
         """Grid cell index containing ``raw``."""
-        offset = (self.to_coord(raw) - self._origin_coord) / self.interval
-        return int(math.floor(offset + _EPSILON))
+        return self._cell(self.to_coord(raw))
+
+    def _cell(self, coord: float) -> int:
+        offset = (coord - self._origin_coord) / self.interval + _EPSILON
+        try:
+            return math.floor(offset)
+        except OverflowError:  # past the double range: saturate, monotone
+            return math.floor(math.copysign(sys.float_info.max, offset))
 
     def cell_start(self, k: int) -> Any:
         return self.from_coord(self._origin_coord + k * self.interval)
-
-    def cell_end(self, k: int) -> Any:
-        return self.from_coord(self._origin_coord + (k + 1) * self.interval)
 
     def extent(self, k_min: int, k_max: int) -> Tuple[float, float]:
         """Coordinate extent ``[low, high)`` of cells ``k_min .. k_max``."""
         origin = self._origin_coord
         return (origin + k_min * self.interval,
                 origin + (k_max + 1) * self.interval)
-
-    def standardize(self, raw: Any) -> Any:
-        """The paper's "standard" method: the cell's lower coordinate."""
-        return self.cell_start(self.cell_of(raw))
 
     def label(self, k: int) -> str:
         """GFUKey segment for cell ``k``."""
@@ -118,46 +132,70 @@ class DimensionPolicy:
         return int(round(offset))
 
     # ------------------------------------------------------------ intervals
-    def cell_span(self, interval: Optional[Interval],
-                  k_min: int, k_max: int) -> Optional[Tuple[int, int]]:
-        """Inclusive cell-index range overlapping ``interval``, clamped to
-        the observed data bounds ``[k_min, k_max]``; None if empty."""
-        lo_k, hi_k = k_min, k_max
-        if interval is not None:
-            if interval.is_empty:
-                return None
-            if interval.low is not None:
-                lo_k = max(lo_k, self.cell_of(interval.low))
-            if interval.high is not None:
-                hi_k = min(hi_k, self.cell_of(interval.high))
-                # an exclusive high that sits exactly on a cell boundary
-                # does not reach into that cell
-                if (not interval.high_inclusive
-                        and self._on_boundary(interval.high)):
-                    hi_k = min(hi_k, self.cell_of(interval.high) - 1)
-        if lo_k > hi_k:
-            return None
-        return lo_k, hi_k
+    def literal_coord(self, raw: Any) -> Any:
+        """Coordinate of a predicate literal: exact ints on INT/BIGINT,
+        ordinal days on DATE, floats on DOUBLE.  A literal the dimension
+        cannot compare with raises :class:`SemanticError`; so does a DATE
+        literal not in ``YYYY-MM-DD`` form, as rows compare as strings."""
+        try:
+            if self.dtype is DataType.DATE:
+                ordinal = date_to_ordinal(raw)
+                if ordinal_to_date(ordinal) == raw:
+                    return ordinal
+            elif isinstance(raw, (int, float)) and math.isfinite(raw):
+                return raw if self.is_discrete else float(raw)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        raise SemanticError(
+            f"column {self.name!r} cannot be compared with {raw!r}")
 
-    def _on_boundary(self, raw: Any) -> bool:
-        offset = (self.to_coord(raw) - self._origin_coord) / self.interval
-        return abs(offset - round(offset)) < _EPSILON
-
-    def covers_cell(self, interval: Optional[Interval], k: int) -> bool:
-        """Is cell ``k`` entirely inside ``interval``?"""
-        if interval is None:
-            return True  # unconstrained dimension covers everything
-        start = self.cell_start(k)
-        end = self.cell_end(k)
+    def _end(self, raw: Any, inclusive: bool,
+             step: int) -> Tuple[float, float]:
+        """Coordinates of the value the dimension can hold nearest inside
+        one predicate end, and of its neighbour just outside; ``step`` is
+        +1 for a low end, -1 for a high end."""
+        value = self.literal_coord(raw)
         if self.is_discrete:
-            last = self.from_coord(self.to_coord(end) - 1)
-            return interval.contains(start) and interval.contains(last)
-        return interval.covers_range(start, end)
+            inside = math.ceil(value) if step > 0 else math.floor(value)
+            if not inclusive and inside == value:
+                inside += step
+            return float(inside), float(inside - step)
+        if not inclusive:
+            value = math.nextafter(value, step * math.inf)
+        return value, math.nextafter(value, -step * math.inf)
 
-    def overlaps_cell(self, interval: Optional[Interval], k: int) -> bool:
+    def cell_ranges(self, interval: Optional[Interval], k_min: int,
+                    k_max: int) -> Tuple[CellRange, CellRange]:
+        """The cells of ``[k_min, k_max]`` that ``interval`` overlaps, and
+        the sub-range it covers (None = unconstrained).
+
+        Each end moves inward to the nearest value the dimension can hold,
+        and :meth:`cell_of` of that value bounds the overlapped range.  An
+        end cell is covered only when the value just outside the end falls
+        in another cell.  ``cell_of`` is monotone, so overlapped cells hold
+        every matching value and covered cells hold only matching values.
+        """
         if interval is None:
-            return True
-        return interval.overlaps_range(self.cell_start(k), self.cell_end(k))
+            return (k_min, k_max), (k_min, k_max)
+        lo = in_lo = k_min
+        hi = in_hi = k_max
+        low, high = -math.inf, math.inf
+        if interval.low is not None:
+            low, outside = self._end(interval.low, interval.low_inclusive, 1)
+            k = self._cell(low)
+            lo = max(lo, k)
+            in_lo = max(in_lo, k if self._cell(outside) < k else k + 1)
+        if interval.high is not None:
+            high, outside = self._end(interval.high,
+                                      interval.high_inclusive, -1)
+            k = self._cell(high)
+            hi = min(hi, k)
+            in_hi = min(in_hi, k if self._cell(outside) > k else k - 1)
+        if lo > hi or low > high:
+            return _EMPTY, _EMPTY
+        if in_lo > in_hi:
+            return (lo, hi), (lo, lo - 1)
+        return (lo, hi), (in_lo, in_hi)
 
     # -------------------------------------------------------- serialization
     def to_dict(self) -> Dict[str, Any]:
@@ -269,9 +307,9 @@ class SplittingPolicy:
                 spans[key] = None
                 continue
             data_low, data_high = dim.extent(*bounds[key])
-            low = dim.to_coord(interval.low) \
+            low = float(dim.literal_coord(interval.low)) \
                 if interval.low is not None else data_low
-            high = dim.to_coord(interval.high) \
+            high = float(dim.literal_coord(interval.high)) \
                 if interval.high is not None else data_high
             low = min(max(low, data_low), data_high)
             high = min(max(high, data_low), data_high)

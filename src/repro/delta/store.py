@@ -42,7 +42,6 @@ import threading
 from typing import (Any, Dict, List, Optional, Sequence, Tuple,
                     TYPE_CHECKING)
 
-from repro.core.dgf.grid import overlapped_range
 from repro.core.dgf.policy import SplittingPolicy
 from repro.core.dgf.store import cached_fetch
 from repro.errors import DeltaError
@@ -341,8 +340,8 @@ class DeltaBinding:
         if intervals is not None and cells:
             # One overlapped range per dimension, clamped only to the
             # resident cells' own extent.
-            ranges = [overlapped_range(dim, intervals.get(dim.name.lower()),
-                                       min(axis), max(axis))
+            ranges = [dim.cell_ranges(intervals.get(dim.name.lower()),
+                                      min(axis), max(axis))[0]
                       for dim, axis in zip(self.policy.dimensions,
                                            zip(*(c for _k, c in cells)))]
             cells = [(key, cell) for key, cell in cells

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import List
 
@@ -16,6 +17,9 @@ KEYWORDS = {
     "STORED", "PARTITIONED", "IDXPROPERTIES", "WITH", "DEFERRED", "REBUILD",
     "NULL", "TRUE", "FALSE", "DISTINCT", "LIKE", "IF", "EXISTS",
 }
+
+#: exponent suffix of a numeric literal (``1e-05``, ``2.5E+16``)
+_EXPONENT = re.compile(r"[eE][+-]?[0-9]+")
 
 SYMBOLS = ("<=", ">=", "<>", "!=", "=", "<", ">", "(", ")", ",", ".", "*",
            "+", "-", "/", ";", "%")
@@ -70,6 +74,9 @@ def tokenize(text: str) -> List[Token]:
                         break
                     seen_dot = True
                 end += 1
+            exponent = _EXPONENT.match(text, end)
+            if exponent:
+                end = exponent.end()
             tokens.append(Token("NUMBER", text[pos:end], pos))
             pos = end
             continue

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import HiveQLSyntaxError
@@ -270,8 +271,11 @@ class _Parser:
     def primary(self) -> ast.Expr:
         token = self.current
         if token.kind == "NUMBER":
+            value = int(token.text) if token.text.isdigit() \
+                else float(token.text)
+            if value == math.inf:
+                raise self.error("numeric literal out of range")
             self.advance()
-            value = float(token.text) if "." in token.text else int(token.text)
             return ast.Literal(value=value)
         if token.kind == "STRING":
             self.advance()

@@ -79,37 +79,6 @@ class Interval:
         return Interval(low=low, high=high, low_inclusive=low_inc,
                         high_inclusive=high_inc)
 
-    def overlaps_range(self, start: Any, end: Any) -> bool:
-        """Does this interval intersect the half-open cell ``[start, end)``?"""
-        if self.high is not None:
-            if self.high < start or (self.high == start
-                                     and not self.high_inclusive):
-                return False
-        if self.low is not None and self.low >= end:
-            return False
-        return True
-
-    def covers_range(self, start: Any, end: Any) -> bool:
-        """Is the half-open cell ``[start, end)`` fully inside this interval?
-
-        Cells are left-closed/right-open, so a cell is covered when its start
-        is included and everything strictly below ``end`` is included.
-        """
-        if self.low is not None:
-            if start < self.low or (start == self.low
-                                    and not self.low_inclusive):
-                return False
-        if self.high is not None:
-            if self.high < end:
-                return False
-            if self.high == end and not self.high_inclusive:
-                # interval stops (exclusively or not) exactly at cell end;
-                # values in [start, end) are still all <= high only if
-                # high >= end, and high == end exclusive still covers
-                # everything strictly below end.
-                return True
-        return True
-
 
 @dataclass
 class RangeExtraction:

@@ -236,6 +236,39 @@ class TestParameterBinding:
             bind_parameters("SELECT ?", (object(),))
 
 
+class TestFloatParameters:
+    @pytest.fixture
+    def double_conn(self):
+        connection = repro.connect()
+        connection.execute("CREATE TABLE t (x double, v double)")
+        connection.load_rows("t", [(x, float(i + 1)) for i, x in enumerate(
+            (-1e16, -1.0, 0.0, 5e-324, 1e-05, 2e-05, 0.5, 1e16, 3e16))])
+        connection.execute("CREATE INDEX i ON TABLE t(x) AS 'dgf' "
+                           "IDXPROPERTIES ('x'='0_1e15', "
+                           "'precompute'='sum(v),count(*)')")
+        yield connection
+        connection.close()
+
+    @pytest.mark.parametrize("value", [1e-05, 1e+16, 5e-324, -1e-05])
+    def test_exponent_floats_bind_and_equal_scan(self, double_conn, value):
+        for sql in ("SELECT sum(v), count(*) FROM t WHERE x >= ?",
+                    "SELECT sum(v), count(*) FROM t WHERE x = ?",
+                    "SELECT sum(v), count(*) FROM t WHERE x < ?"):
+            indexed = double_conn.execute(sql, (value,))
+            scan = double_conn.execute(sql, (value,),
+                                       QueryOptions(use_index=False))
+            assert indexed.rows == scan.rows, sql
+        assert double_conn.execute(
+            "SELECT count(*) FROM t WHERE x = ?", (value,)).scalar() \
+            == (value > 0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_floats_rejected(self, value):
+        with pytest.raises(InterfaceError, match="non-finite"):
+            bind_parameters("SELECT * FROM t WHERE x >= ?", (value,))
+
+
 class TestKnobOwnership:
     """Every tuning knob has exactly one home, and misplacement is loud."""
 

@@ -2,6 +2,8 @@
 
 import datetime
 import itertools
+import struct
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -158,18 +160,74 @@ def test_property_decomposition_is_sound(a_lo, a_width, b_lo,
 
 
 # ------------------------------------------------ region == per-cell oracle
+def _float_rank(x):
+    """Order-preserving integer rank of a double (by its IEEE bits)."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & (2 ** 63 - 1)) - 1
+
+
+def _float_of_rank(rank):
+    bits = rank if rank >= 0 else (-rank - 1) | 2 ** 63
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def held_values(dim):
+    """``(first, last, value_of)``: the values the dimension can hold, as
+    a contiguous run of integer ranks — integers on INT/BIGINT, ordinal
+    days on DATE, IEEE bit ranks on DOUBLE."""
+    if dim.dtype is DataType.DOUBLE:
+        return _float_rank(-1e300), _float_rank(1e300), _float_of_rank
+    if dim.dtype is DataType.DATE:
+        return (1, datetime.date.max.toordinal(),
+                lambda n: datetime.date.fromordinal(n).isoformat())
+    return -2 ** 62, 2 ** 62, int
+
+
+def first_rank(lo, hi, holds):
+    """Least rank in ``[lo, hi]`` where the monotone ``holds`` is true,
+    by bisection; ``hi + 1`` when there is none."""
+    hi += 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def cell_class(dim, interval, k):
+    """``(overlaps, covered)`` of cell ``k`` by row placement alone: the
+    values ``cell_of`` maps to ``k`` form one run, found by bisection.
+    The cell overlaps when one of them satisfies ``interval`` and is
+    covered when all of them do (both sides convex, so the run's ends
+    and its first value past the low end decide)."""
+    first, last, value = held_values(dim)
+    start = first_rank(first, last, lambda n: dim.cell_of(value(n)) >= k)
+    end = first_rank(first, last,
+                     lambda n: dim.cell_of(value(n)) >= k + 1) - 1
+    if start > end:
+        return False, False
+    if interval is None:
+        return True, True
+    low_side = replace(interval, high=None)
+    probe = first_rank(start, end, lambda n: low_side.contains(value(n)))
+    overlaps = probe <= end and interval.contains(value(probe))
+    return overlaps, (interval.contains(value(start))
+                      and interval.contains(value(end)))
+
+
 def brute_force(policy, intervals, bounds, force_all_boundary):
-    """The enumerating Algorithm 3: classify every cell of the clamped
-    span with ``overlaps_cell`` / ``covers_cell`` and format its key."""
+    """The enumerating Algorithm 3: classify every cell of the bounds by
+    which rows ``cell_of`` would place in it, and format its key."""
     per_dim = []
     for dim in policy.dimensions:
         name = dim.name.lower()
-        interval = intervals.get(name)
-        span = dim.cell_span(interval, *bounds[name])
-        cells = [] if span is None else [
-            (k, not force_all_boundary and dim.covers_cell(interval, k))
-            for k in range(span[0], span[1] + 1)
-            if dim.overlaps_cell(interval, k)]
+        cells = []
+        for k in range(bounds[name][0], bounds[name][1] + 1):
+            overlaps, covered = cell_class(dim, intervals.get(name), k)
+            if overlaps:
+                cells.append((k, covered and not force_all_boundary))
         if not cells:
             return [], []
         per_dim.append(cells)

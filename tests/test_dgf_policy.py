@@ -1,13 +1,14 @@
 """Tests for splitting policies and grid geometry."""
 
 import datetime
+import math
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.dgf.policy import DimensionPolicy, SplittingPolicy
-from repro.errors import DGFError
+from repro.errors import DGFError, SemanticError
 from repro.hiveql.predicates import Interval
 from repro.storage.schema import DataType, Schema
 
@@ -34,15 +35,13 @@ class TestDimensionPolicy:
         """Figure 6: dimension A with origin 1, interval 3: value 7 -> 7,
         value 9 -> 7 (cell [7, 10))."""
         dim = numeric_dim(origin=1, interval=3, name="A")
-        assert dim.standardize(7) == 7
-        assert dim.standardize(9) == 7
-        assert dim.standardize(8) == 7
-        assert dim.standardize(12) == 10
+        for value, start in ((7, 7), (9, 7), (8, 7), (12, 10)):
+            assert dim.cell_start(dim.cell_of(value)) == start
 
     def test_cell_bounds(self):
         dim = numeric_dim(origin=0, interval=10)
         assert dim.cell_start(2) == 20
-        assert dim.cell_end(2) == 30
+        assert dim.cell_start(3) == 30
 
     def test_float_dimension(self):
         dim = DimensionPolicy(name="d", dtype=DataType.DOUBLE, origin=0,
@@ -57,7 +56,7 @@ class TestDimensionPolicy:
         assert dim.cell_of("2012-12-02") == 0
         assert dim.cell_of("2012-12-03") == 1
         assert dim.cell_start(1) == "2012-12-03"
-        assert dim.standardize("2012-12-04") == "2012-12-03"
+        assert dim.cell_start(dim.cell_of("2012-12-04")) == "2012-12-03"
 
     def test_labels(self):
         assert numeric_dim(origin=1, interval=3).label(2) == "7"
@@ -86,61 +85,139 @@ class TestDimensionPolicy:
             DimensionPolicy(name="u", dtype=DataType.BIGINT, origin=0,
                             interval=2.5)
 
+    def test_integer_dimension_needs_integer_origin(self):
+        """A fractional origin would give two cells one GFUKey label."""
+        for dtype in (DataType.INT, DataType.BIGINT):
+            with pytest.raises(DGFError, match="'x'.*integer origin"):
+                numeric_dim(origin=-0.5, dtype=dtype, name="x")
+        with pytest.raises(DGFError, match="integer origin"):
+            DimensionPolicy.from_spec("x", DataType.INT, "0.5_1")
+        assert numeric_dim(origin=3.0, dtype=DataType.INT).cell_of(3) == 0
+        assert numeric_dim(origin=-0.5, dtype=DataType.DOUBLE).cell_of(0) == 0
+
     def test_bad_date_origin(self):
         with pytest.raises(DGFError):
             date_dim(origin="12/01/2012")
 
 
+EMPTY = ((0, -1), (0, -1))
+
+
 class TestCoverage:
+    """``cell_ranges`` returns ``(overlapped, covered)``: inclusive cell
+    ranges clamped to the bounds, ``lo > hi`` meaning empty."""
+
     def test_continuous_coverage(self):
         dim = DimensionPolicy(name="d", dtype=DataType.DOUBLE, origin=0,
                               interval=10)
-        covering = Interval(low=0, high=30)
-        assert dim.covers_cell(covering, 1)       # [10, 20) inside [0, 30)
-        assert not dim.covers_cell(Interval(low=15, high=30), 1)
+        # cells 1 and 2 lie inside [0, 30).  ``cell_of`` places a double
+        # within 1e-9 cells below a boundary above it, so cell 0 also
+        # holds values just below 0 and cell 3 values just below 30: both
+        # overlap, neither is covered.
+        assert dim.cell_ranges(Interval(low=0, high=30), 0, 9) \
+            == ((0, 3), (1, 2))
+        assert dim.cell_ranges(Interval(low=15, high=30), 0, 9) \
+            == ((1, 3), (2, 2))
 
     def test_discrete_equality_covers_unit_cell(self):
         """``regionid = 5`` with interval 1 covers the whole cell — the
         mechanism behind Figure 17's precompute win."""
         dim = numeric_dim(origin=0, interval=1, dtype=DataType.INT)
-        assert dim.covers_cell(Interval.point(5), 5)
+        assert dim.cell_ranges(Interval.point(5), 0, 9) == ((5, 5), (5, 5))
 
     def test_discrete_coverage_with_wide_cells(self):
         dim = numeric_dim(origin=0, interval=10, dtype=DataType.BIGINT)
-        assert dim.covers_cell(Interval(low=10, high=19,
-                                        high_inclusive=True), 1)
-        assert not dim.covers_cell(Interval(low=10, high=19), 1)
+        assert dim.cell_ranges(Interval(low=10, high=19,
+                                        high_inclusive=True), 0, 9) \
+            == ((1, 1), (1, 1))
+        assert dim.cell_ranges(Interval(low=10, high=19), 0, 9) \
+            == ((1, 1), (1, 0))
+        # x > 9.5 holds every integer of [10, 20): a fractional end moves
+        # inward to the nearest integer
+        assert dim.cell_ranges(Interval(low=9.5, low_inclusive=False,
+                                        high=20), 0, 9) == ((1, 1), (1, 1))
 
     def test_date_equality_covers_daily_cell(self):
         dim = date_dim(interval=1)
-        assert dim.covers_cell(Interval.point("2012-12-30"),
-                               dim.cell_of("2012-12-30"))
+        k = dim.cell_of("2012-12-30")
+        assert dim.cell_ranges(Interval.point("2012-12-30"), 0, 40) \
+            == ((k, k), (k, k))
 
     def test_unconstrained_dimension_covers(self):
-        assert numeric_dim().covers_cell(None, 3)
+        assert numeric_dim().cell_ranges(None, 1, 4) == ((1, 4), (1, 4))
 
     def test_overlap(self):
         dim = numeric_dim(origin=0, interval=10)
-        assert dim.overlaps_cell(Interval(low=25, high=26), 2)
-        assert not dim.overlaps_cell(Interval(low=30, high=40), 2)
+        assert dim.cell_ranges(Interval(low=25, high=26), 0, 9)[0] \
+            == (2, 2)
+        assert dim.cell_ranges(Interval(low=30, high=40), 0, 9)[0] \
+            == (3, 3)
 
     def test_cell_span_clamps_to_bounds(self):
         dim = numeric_dim(origin=0, interval=10)
-        assert dim.cell_span(Interval(low=-100, high=1000), 0, 5) == (0, 5)
-        assert dim.cell_span(Interval(low=25, high=47), 0, 5) == (2, 4)
-        assert dim.cell_span(None, 1, 4) == (1, 4)
+        assert dim.cell_ranges(Interval(low=-100, high=1000), 0, 5)[0] \
+            == (0, 5)
+        assert dim.cell_ranges(Interval(low=25, high=47), 0, 5)[0] == (2, 4)
+        assert dim.cell_ranges(None, 1, 4)[0] == (1, 4)
 
     def test_cell_span_exclusive_boundary_high(self):
         dim = numeric_dim(origin=0, interval=10)
         # high = 30 exclusive sits exactly on a boundary: cell 3 excluded
-        assert dim.cell_span(Interval(low=0, high=30), 0, 9) == (0, 2)
-        assert dim.cell_span(Interval(low=0, high=30, high_inclusive=True),
-                             0, 9) == (0, 3)
+        assert dim.cell_ranges(Interval(low=0, high=30), 0, 9) \
+            == ((0, 2), (0, 2))
+        assert dim.cell_ranges(Interval(low=0, high=30, high_inclusive=True),
+                               0, 9) == ((0, 3), (0, 2))
 
     def test_cell_span_empty(self):
         dim = numeric_dim(origin=0, interval=10)
-        assert dim.cell_span(Interval(low=50, high=40), 0, 9) is None
-        assert dim.cell_span(Interval(low=200), 0, 9) is None
+        assert dim.cell_ranges(Interval(low=50, high=40), 0, 9) == EMPTY
+        assert dim.cell_ranges(Interval(low=200), 0, 9) == EMPTY
+        # no integer lies strictly between 4 and 5
+        assert dim.cell_ranges(Interval(low=4, low_inclusive=False,
+                                        high=5), 0, 9) == EMPTY
+
+    def test_double_endpoint_follows_row_placement(self):
+        """``cell_of`` floors ``offset + 1e-9``, so 0.001 lands in cell -8
+        although cell -8 starts a hair above it.  The point predicate must
+        read the cell its row was written to."""
+        dim = DimensionPolicy(name="x", dtype=DataType.DOUBLE, origin=0.025,
+                              interval=0.003)
+        assert dim.cell_of(0.001) == -8
+        assert dim.cell_start(-8) > 0.001
+        assert dim.cell_ranges(Interval.point(0.001), -10, 0) \
+            == ((-8, -8), (-8, -9))
+
+    def test_double_open_interval_at_epsilon(self):
+        """(0.0, 0.1) open on cells of 0.1: the largest double below 0.1
+        is placed in cell 1, so cell 1 overlaps; neither cell is covered,
+        as 0.0 and 0.1 themselves are excluded."""
+        dim = DimensionPolicy(name="x", dtype=DataType.DOUBLE, origin=0,
+                              interval=0.1)
+        assert dim.cell_of(math.nextafter(0.1, 0)) == 1
+        assert dim.cell_ranges(Interval(low=0.0, low_inclusive=False,
+                                        high=0.1), -5, 5) == ((0, 1), (0, -1))
+
+    def test_endpoint_beyond_double_range_of_offsets(self):
+        """1e307 lies ~1e310 cells out: past any cell, not an error."""
+        dim = DimensionPolicy(name="x", dtype=DataType.DOUBLE, origin=0,
+                              interval=0.001)
+        assert dim.cell_ranges(Interval(high=1e307), 0, 9) \
+            == ((0, 9), (0, 9))
+        assert dim.cell_ranges(Interval(low=1e307), 0, 9) == EMPTY
+        assert dim.cell_ranges(Interval(low=-1e307, high=0.0045,
+                                        high_inclusive=True), 0, 9) \
+            == ((0, 4), (0, 3))
+
+    def test_unconvertible_literal_names_column(self):
+        for dim, raw in ((numeric_dim(dtype=DataType.INT, name="x"), "abc"),
+                         (DimensionPolicy(name="y", dtype=DataType.DOUBLE,
+                                          origin=0, interval=1), "zz"),
+                         (date_dim(name="d"), 5),
+                         (date_dim(name="d"), "2012-13-45"),
+                         (date_dim(name="d"), "20121205"),
+                         (numeric_dim(name="x"), 10 ** 400)):
+            with pytest.raises(SemanticError, match=repr(raw)):
+                dim.cell_ranges(Interval(low=raw), 0, 9)
 
 
 class TestSplittingPolicy:
@@ -201,10 +278,10 @@ class TestSplittingPolicy:
 @given(origin=st.integers(-100, 100), interval=st.integers(1, 50),
        value=st.integers(-1000, 1000))
 def test_property_cell_contains_its_values(origin, interval, value):
-    """Every value lands in the cell whose [start, end) range contains it."""
+    """Every value lands in the cell whose [start, next start) holds it."""
     dim = numeric_dim(origin=origin, interval=interval)
     k = dim.cell_of(value)
-    assert dim.cell_start(k) <= value < dim.cell_end(k)
+    assert dim.cell_start(k) <= value < dim.cell_start(k + 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -217,7 +294,21 @@ def test_property_float_cells_consistent(origin, interval, value):
     k = dim.cell_of(value)
     # allow the epsilon guard at boundaries
     assert dim.cell_start(k) <= value + 1e-6
-    assert value - 1e-6 < dim.cell_end(k)
+    assert value - 1e-6 < dim.cell_start(k + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(origin=st.integers(0, 9000), interval=st.integers(1, 40),
+       value=st.integers(0, 18000))
+def test_property_date_cells_consistent(origin, interval, value):
+    """The same on DATE dimensions, whose ISO labels order as dates."""
+    epoch = datetime.date(2000, 1, 1)
+
+    def day(offset):
+        return (epoch + datetime.timedelta(days=offset)).isoformat()
+    dim = date_dim(origin=day(origin), interval=interval)
+    k = dim.cell_of(day(value))
+    assert dim.cell_start(k) <= day(value) < dim.cell_start(k + 1)
 
 
 @st.composite

@@ -1,8 +1,11 @@
 """Tests for DGFIndex query processing: both paths of Algorithm 3,
 split/slice filtering, and the partial-specified behaviour."""
 
+import re
+
 import pytest
 
+from repro.errors import SemanticError
 from repro.hive.session import QueryOptions
 from tests.conftest import SCAN, make_session, meter_rows
 
@@ -213,3 +216,30 @@ class TestStatsAndKV:
         coarse = coarse_session.execute(MDRQ)
         assert fine.stats.index_kv_gets > coarse.stats.index_kv_gets
         assert fine.scalar() == pytest.approx(coarse.scalar())
+
+
+class TestUnconvertibleLiterals:
+    """A literal an index dimension cannot compare with is a semantic
+    error naming the column, not a builtin exception from planning."""
+
+    @pytest.mark.parametrize("where, column, literal", [
+        ("x >= 'abc'", "x", "'abc'"),
+        ("y <= 'zz'", "y", "'zz'"),
+        ("d >= 5", "d", "5"),
+        ("d >= '2012-13-45'", "d", "'2012-13-45'"),
+        # ISO basic format: the scan compares date strings, so only the
+        # extended form orders like the dates it names
+        ("d >= '20121205'", "d", "'20121205'"),
+    ])
+    def test_literal_raises_semantic_error(self, where, column, literal):
+        session = make_session()
+        session.execute("CREATE TABLE t (x int, d date, y double, v double)")
+        session.load_rows("t", [(1, "2012-12-01", 0.5, 1.0),
+                                (7, "2012-12-09", 2.5, 2.0)])
+        session.execute(
+            "CREATE INDEX i ON TABLE t(x, d, y) AS 'dgf' IDXPROPERTIES "
+            "('x'='0_2', 'd'='2012-12-01_3d', 'y'='0_1', "
+            "'precompute'='sum(v)')")
+        with pytest.raises(SemanticError,
+                           match=f"'{column}'.*{re.escape(literal)}"):
+            session.execute(f"SELECT sum(v), count(*) FROM t WHERE {where}")

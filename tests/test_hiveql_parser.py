@@ -20,6 +20,11 @@ class TestLexer:
         tokens = tokenize("42 3.14 0.5")
         assert [t.text for t in tokens[:-1]] == ["42", "3.14", "0.5"]
 
+    def test_numbers_with_exponent(self):
+        tokens = tokenize("1e-05 2.5E+16 5e-324 7e2 1 e")
+        assert [t.text for t in tokens[:-1]] \
+            == ["1e-05", "2.5E+16", "5e-324", "7e2", "1", "e"]
+
     def test_strings_both_quotes(self):
         tokens = tokenize("'abc' \"xy z\"")
         assert [t.text for t in tokens[:-1]] == ["abc", "xy z"]
@@ -88,6 +93,19 @@ class TestExpressions:
     def test_unary_minus_folds_literals(self):
         expr = parse_expression("-5")
         assert isinstance(expr, ast.Literal) and expr.value == -5
+
+    def test_exponent_literals_are_floats(self):
+        for text, value in (("1e-05", 1e-05), ("1e+16", 1e16),
+                            ("-5e-324", -5e-324), ("7e2", 700.0)):
+            expr = parse_expression(text)
+            assert isinstance(expr, ast.Literal)
+            assert type(expr.value) is float and expr.value == value
+
+    def test_overflowing_literal_rejected(self):
+        with pytest.raises(HiveQLSyntaxError, match="out of range"):
+            parse_expression("x < 1e999")
+        # integers stay exact, however long
+        assert parse_expression("1" + "0" * 400).value == 10 ** 400
 
     def test_unary_minus_on_column(self):
         expr = parse_expression("-a")

@@ -56,20 +56,6 @@ class TestInterval:
         b = Interval(low=1, high=5, high_inclusive=False)
         assert not a.intersect(b).high_inclusive
 
-    def test_overlaps_range(self):
-        interval = Interval(low=10, high=20)
-        assert interval.overlaps_range(15, 25)
-        assert interval.overlaps_range(5, 11)
-        assert not interval.overlaps_range(20, 30)
-        assert not interval.overlaps_range(0, 10)
-
-    def test_covers_range(self):
-        interval = Interval(low=10, high=20)
-        assert interval.covers_range(10, 20)
-        assert interval.covers_range(12, 18)
-        assert not interval.covers_range(9, 15)
-        assert not interval.covers_range(15, 21)
-
     def test_string_intervals_for_dates(self):
         interval = Interval(low="2012-12-01", high="2012-12-31")
         assert interval.contains("2012-12-15")
