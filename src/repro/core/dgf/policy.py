@@ -8,14 +8,15 @@ to themselves, DATE columns map to proleptic ordinal days, so "1 day"
 intervals are exact integer arithmetic.
 
 One membership rule decides which cell holds a value:
-:meth:`DimensionPolicy.cell_of`.  It places rows at build and append
-time, and :meth:`DimensionPolicy.cell_ranges` classifies predicate
-endpoints with it, so the cells a query reads are exactly the cells its
-rows were written to.  Discrete dimensions (INT, BIGINT, DATE) hold only
-integers, so an equality predicate (e.g. ``time = '2012-12-30'`` with
-1-day cells, the paper's partial-specified query) covers a whole cell and
-benefits from pre-computed headers.  Their origins and intervals must be
-integers, which keeps the GFUKey labels of distinct cells distinct.
+:meth:`DimensionPolicy.cell_of`, the largest cell whose start is at or
+below it.  It places rows at build and append time, parses GFUKey labels
+back to cells, and :meth:`DimensionPolicy.cell_ranges` classifies
+predicate endpoints with it, so the cells a query reads are exactly the
+cells its rows were written to.  Discrete dimensions (INT, BIGINT, DATE)
+hold only integers, so an equality predicate (``time = '2012-12-30'``
+with 1-day cells, the paper's partial-specified query) covers a whole
+cell and benefits from pre-computed headers.  Their origins and
+intervals must be integers, so distinct cells have distinct labels.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ from repro.hiveql.predicates import Interval
 from repro.storage.schema import (DataType, Schema, date_to_ordinal,
                                   ordinal_to_date)
 
-#: guard against float rounding when computing cell indexes
-_EPSILON = 1e-9
+#: rows and origins lie within this many intervals of zero, where a cell
+#: start rounds by under half a cell and so no two starts coincide
+_REACH = 2 ** 50
 
 #: GFUKey segment separator (the paper's ``7_13`` style keys)
 KEY_SEPARATOR = "_"
@@ -75,6 +77,7 @@ class DimensionPolicy:
             raise DGFError(
                 f"dimension {self.name!r}: integer dimensions need an "
                 f"integer origin, got {self.origin}")
+        self.place(self.origin)
 
     # ------------------------------------------------------- coordinate space
     @property
@@ -102,12 +105,32 @@ class DimensionPolicy:
         """Grid cell index containing ``raw``."""
         return self._cell(self.to_coord(raw))
 
+    def place(self, raw: Any) -> int:
+        """:meth:`cell_of` of a row value (or the origin), refusing one too
+        far out for its cell's label to parse back to the cell."""
+        coord = self.to_coord(raw)
+        if abs(coord) > self.interval * _REACH:
+            raise DGFError(
+                f"dimension {self.name!r}: {raw!r} lies over 2**50 "
+                f"intervals from 0, where cell starts round together")
+        return self._cell(coord)
+
     def _cell(self, coord: float) -> int:
-        offset = (coord - self._origin_coord) / self.interval + _EPSILON
+        """The largest ``k`` with ``origin + k * interval <= coord``.  The
+        floored quotient is corrected by at most one step; starts and the
+        quotient are both monotone, so the result is too, and it is exact
+        within :data:`_REACH`."""
+        origin = self._origin_coord
+        interval = self.interval
         try:
-            return math.floor(offset)
+            k = math.floor((coord - origin) / interval)
         except OverflowError:  # past the double range: saturate, monotone
-            return math.floor(math.copysign(sys.float_info.max, offset))
+            k = math.floor(math.copysign(sys.float_info.max, coord - origin))
+        if origin + k * interval > coord:
+            return k - 1
+        if origin + (k + 1) * interval <= coord:
+            return k + 1
+        return k
 
     def cell_start(self, k: int) -> Any:
         return self.from_coord(self._origin_coord + k * self.interval)
@@ -124,12 +147,6 @@ class DimensionPolicy:
         if isinstance(start, float) and start == int(start):
             return str(int(start))
         return str(start)
-
-    def cell_of_label(self, label: str) -> int:
-        """Inverse of :meth:`label`: the cell ``label`` is the start of.
-        Rounds, as a start far out on a fine grid can land a hair low."""
-        offset = (self.to_coord(label) - self._origin_coord) / self.interval
-        return int(round(offset))
 
     # ------------------------------------------------------------ intervals
     def literal_coord(self, raw: Any) -> Any:
@@ -267,12 +284,10 @@ class SplittingPolicy:
 
     def key_of_row(self, values: Sequence[Any]) -> str:
         """GFUKey of the row whose index-dimension values are ``values``."""
-        return self.key_of_cells(
-            [dim.cell_of(v) for dim, v in zip(self.dimensions, values)])
+        return self.key_of_cells(self.cells_of_row(values))
 
     def cells_of_row(self, values: Sequence[Any]) -> Tuple[int, ...]:
-        return tuple(dim.cell_of(v)
-                     for dim, v in zip(self.dimensions, values))
+        return tuple(dim.place(v) for dim, v in zip(self.dimensions, values))
 
     def cells_of_key(self, key: str) -> Tuple[int, ...]:
         """Cell-index vector of a GFUKey — the inverse of
@@ -284,7 +299,7 @@ class SplittingPolicy:
             raise DGFError(
                 f"GFUKey {key!r} has {len(labels)} segments, policy has "
                 f"{len(self.dimensions)} dimensions")
-        return tuple(dim.cell_of_label(label)
+        return tuple(dim.cell_of(label)
                      for dim, label in zip(self.dimensions, labels))
 
     # --------------------------------------------------------------- regions

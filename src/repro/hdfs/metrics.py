@@ -78,13 +78,6 @@ class IOStats:
         self.write_ops += other.write_ops
         self.seeks += other.seeks
 
-    def reset(self) -> None:
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.read_ops = 0
-        self.write_ops = 0
-        self.seeks = 0
-
 
 class TaskIOScope:
     """Collects one thread's IOStats updates into per-instance buffers."""

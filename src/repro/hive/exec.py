@@ -30,9 +30,14 @@ from repro.hiveql.predicates import RangeExtraction, extract_ranges
 from repro.mapreduce.cost import JobStats, TimeBreakdown
 from repro.mapreduce.job import Job
 from repro.mapreduce.splits import FileSplit, InputFormat
+from repro.storage.schema import DataType
 
 #: group key used for aggregation without GROUP BY
 _GLOBAL_KEY = 0
+
+#: the comparisons Python refuses between a number and a string
+_ORDERINGS = frozenset(("<", "<=", ">", ">="))
+_NUMERIC = frozenset((DataType.INT, DataType.BIGINT, DataType.DOUBLE))
 
 
 @dataclass
@@ -92,6 +97,10 @@ def analyze(metastore, stmt: ast.SelectStmt) -> AnalyzedSelect:
         offset += len(join_table.schema)
 
     items = _expand_stars(stmt, table, joins)
+    if stmt.where is not None:
+        _check_comparisons(stmt.where, resolver, [
+            c.dtype for t in (table, *(j.table for j in joins))
+            for c in t.schema.columns])
     ranges = extract_ranges(stmt.where)
     probe_pred, combined_pred = _split_filter(stmt.where, probe_resolver)
     probe_filter = _filter_fn(probe_pred, probe_resolver)
@@ -137,6 +146,29 @@ def analyze(metastore, stmt: ast.SelectStmt) -> AnalyzedSelect:
         project_fns=project_fns,
         output_names=[item.output_name() for item in items],
         referenced_columns=referenced)
+
+
+def _check_comparisons(expr: ast.Expr, resolver: ColumnResolver,
+                       dtypes: Sequence[DataType]) -> None:
+    """Reject a column ordered against a literal its type cannot compare
+    with (``x >= 'abc'`` on INT, ``d >= 5`` on DATE), which the row
+    evaluator would only meet mid-scan as a ``TypeError``.  Equality and
+    IN never raise there, so they are left alone."""
+    children = ast.expr_children(expr)
+    if isinstance(expr, ast.Between) \
+            or isinstance(expr, ast.BinaryOp) and expr.op in _ORDERINGS:
+        literals = [c.value for c in children
+                    if isinstance(c, ast.Literal) and c.value is not None]
+        for column in children:
+            if not isinstance(column, ast.ColumnRef):
+                continue
+            numeric = dtypes[resolver.resolve(column)] in _NUMERIC
+            for value in literals:
+                if numeric == isinstance(value, str):
+                    raise SemanticError(f"column {column.name!r} cannot be "
+                                        f"compared with {value!r}")
+    for child in children:
+        _check_comparisons(child, resolver, dtypes)
 
 
 def _canon(expr: ast.Expr) -> str:

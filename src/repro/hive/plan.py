@@ -85,12 +85,6 @@ class Plan:
     def splits_total(self) -> Optional[int]:
         return self.access.total_splits if self.access is not None else None
 
-    @property
-    def splits_pruned(self) -> Optional[int]:
-        if self.access is None or self.access.total_splits is None:
-            return None
-        return self.access.total_splits - len(self.access.splits)
-
     # ------------------------------------------------------------ rendering
     def render(self) -> str:
         """The canonical plan text (EXPLAIN output, result description)."""

@@ -197,10 +197,6 @@ class HiveSession:
         self._pending_region = threading.local()
         self._register_default_handlers()
 
-    def set_data_scale(self, data_scale: float) -> None:
-        """Rescale the cost model (paper records / loaded records)."""
-        self.cost_model = CostModel(self.cluster, data_scale=data_scale)
-
     # ----------------------------------------------------------- registration
     def _register_default_handlers(self) -> None:
         # Imported here to avoid a circular import at module load time.
@@ -363,7 +359,15 @@ class HiveSession:
         self.metastore.add_index(info)
         if stmt.deferred_rebuild:
             return QueryResult(columns=["result"], rows=[("DEFERRED",)])
-        report = self.handler(handler_name).build(self, info)
+        handler = self.handler(handler_name)
+        try:
+            report = handler.build(self, info)
+        except Exception:
+            # A refused build registers nothing: the name, and the table's
+            # one DGFIndex, stay free for a corrected CREATE INDEX.
+            self.metastore.drop_index(info.table, info.name)
+            handler.drop(self, info)
+            raise
         info.state["build_report"] = report
         return QueryResult(
             columns=["result", "index_size_bytes", "build_seconds"],

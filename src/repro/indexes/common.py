@@ -65,12 +65,6 @@ def splits_for_offsets(fs, table: TableInfo,
     return chosen, len(all_splits)
 
 
-def scan_index_table(session, index_table: TableInfo):
-    """Stream index-table rows, measuring the real I/O; returns
-    (rows_iterator, finish) where finish() gives (bytes, records, time)."""
-    return formats.scan_table_rows(session.fs, index_table)
-
-
 def index_scan_cost(session, index_table: TableInfo,
                     records: int) -> TimeBreakdown:
     size = session.fs.total_size(index_table.data_location) \

@@ -278,12 +278,3 @@ class CostModel:
         """
         return (kv_gets * self.cluster.kv_get_seconds
                 + self._map_phase_seconds(est_bytes, est_records))
-
-    # ------------------------------------------------------------ raw writes
-    def sequential_write_seconds(self, nbytes: int,
-                                 parallel_streams: int = 1) -> float:
-        """Plain HDFS append time (used by the Fig. 3 write experiment)."""
-        c = self.cluster
-        streams = max(1, parallel_streams)
-        return (nbytes * self.data_scale
-                / (streams * c.per_slot_disk_bandwidth))

@@ -96,10 +96,6 @@ class PyramidStore:
                  node: PyramidNode) -> None:
         self.kvstore.put(self.full_key(level, block), node)
 
-    def get_node(self, level: int,
-                 block: Sequence[int]) -> Optional[PyramidNode]:
-        return self.kvstore.get(self.full_key(level, block))
-
     def delete_node(self, level: int, block: Sequence[int]) -> bool:
         return self.kvstore.delete(self.full_key(level, block))
 

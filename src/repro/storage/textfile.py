@@ -10,7 +10,7 @@ lines that *begin* in the range (skipping a partial first line unless
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, Optional, Sequence, Tuple
 
 from repro.errors import StorageFormatError
 from repro.hdfs.filesystem import HDFSReader, HDFSWriter
@@ -216,12 +216,3 @@ class TextFileReader:
         for _, row in rows:
             return row
         raise StorageFormatError(f"no row starts at offset {offset}")
-
-
-def scan_rows(fs, path: str, schema: Schema, start: int = 0,
-              end: Optional[int] = None,
-              delimiter: str = DEFAULT_DELIMITER) -> List[Tuple]:
-    """Convenience: materialize rows of a text file range (tests, small data)."""
-    with fs.open(path) as stream:
-        reader = TextFileReader(stream, schema, delimiter)
-        return [row for _, row in reader.iter_rows(start, end)]

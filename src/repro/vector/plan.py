@@ -234,15 +234,6 @@ class VectorSelectPlan:
             _ValueStage(kernel_for(item.expr), fn)
             for item, fn in zip(items, analysis.project_fns)]
 
-    @property
-    def supported_everywhere(self) -> bool:
-        """True when every compiled expression has a kernel (used by tests
-        and EXPLAIN tooling; fallback can still occur at runtime)."""
-        stages = (self.filter_stages + self.group_stages
-                  + self.project_stages
-                  + [s.stage for s in self.agg_specs if s.stage is not None])
-        return all(stage.kernel is not None for stage in stages)
-
     # ------------------------------------------------------------- execution
     def run_map_task(self, fs, split: FileSplit) -> MapTaskReport:
         return self.consume_batches(self.reader.read_batches(fs, split))

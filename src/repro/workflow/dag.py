@@ -113,10 +113,6 @@ class Workflow:
             raise WorkflowError(f"action {name!r}: HiveQL must be text")
         return self.add(name, sql, after)
 
-    @property
-    def action_names(self) -> List[str]:
-        return list(self._order)
-
     def topological_order(self) -> List[str]:
         """Kahn's algorithm, stable with respect to definition order.
 

@@ -95,6 +95,10 @@ class TestExperimentsRun:
         labels = [row[0] for row in result.rows]
         assert labels == ["DGFIndex", "Compact-2D", "Compact-3D",
                           "ScanTable", "ScanTable (RCFile)"]
+        # Q6's DOUBLE ranges align with the grid, so their end cells are
+        # answered from headers; a float guard that pushes values just
+        # below a boundary up a cell reads 184 records here
+        assert result.data["DGFIndex"]["records_read"] == 138
 
     def test_ablation_formats(self, lab):
         result = exps.ablation_formats(lab)

@@ -72,7 +72,7 @@ class TestDimensionPolicy:
                                     origin=0, interval=0.25)):
             for k in (0, 1, 5):
                 label = dim.label(k)
-                assert dim.cell_of_label(label) == k
+                assert dim.cell_of(label) == k
 
     def test_invalid_interval(self):
         with pytest.raises(DGFError):
@@ -110,14 +110,12 @@ class TestCoverage:
     def test_continuous_coverage(self):
         dim = DimensionPolicy(name="d", dtype=DataType.DOUBLE, origin=0,
                               interval=10)
-        # cells 1 and 2 lie inside [0, 30).  ``cell_of`` places a double
-        # within 1e-9 cells below a boundary above it, so cell 0 also
-        # holds values just below 0 and cell 3 values just below 30: both
-        # overlap, neither is covered.
+        # cells 0, 1 and 2 are [0, 30): a range aligned to the grid covers
+        # its end cells, and its exclusive high end stops below cell 3.
         assert dim.cell_ranges(Interval(low=0, high=30), 0, 9) \
-            == ((0, 3), (1, 2))
+            == ((0, 2), (0, 2))
         assert dim.cell_ranges(Interval(low=15, high=30), 0, 9) \
-            == ((1, 3), (2, 2))
+            == ((1, 2), (2, 2))
 
     def test_discrete_equality_covers_unit_cell(self):
         """``regionid = 5`` with interval 1 covers the whole cell — the
@@ -177,25 +175,25 @@ class TestCoverage:
                                         high=5), 0, 9) == EMPTY
 
     def test_double_endpoint_follows_row_placement(self):
-        """``cell_of`` floors ``offset + 1e-9``, so 0.001 lands in cell -8
-        although cell -8 starts a hair above it.  The point predicate must
-        read the cell its row was written to."""
+        """Cell -8 starts a hair above 0.001 (the computed start rounds
+        up), so ``cell_of`` places 0.001 in cell -9.  The point predicate
+        must read the cell its row was written to."""
         dim = DimensionPolicy(name="x", dtype=DataType.DOUBLE, origin=0.025,
                               interval=0.003)
-        assert dim.cell_of(0.001) == -8
+        assert dim.cell_of(0.001) == -9
         assert dim.cell_start(-8) > 0.001
         assert dim.cell_ranges(Interval.point(0.001), -10, 0) \
-            == ((-8, -8), (-8, -9))
+            == ((-9, -9), (-9, -10))
 
     def test_double_open_interval_at_epsilon(self):
         """(0.0, 0.1) open on cells of 0.1: the largest double below 0.1
-        is placed in cell 1, so cell 1 overlaps; neither cell is covered,
-        as 0.0 and 0.1 themselves are excluded."""
+        is placed in cell 0, so only cell 0 overlaps; it is not covered,
+        as 0.0 itself is excluded."""
         dim = DimensionPolicy(name="x", dtype=DataType.DOUBLE, origin=0,
                               interval=0.1)
-        assert dim.cell_of(math.nextafter(0.1, 0)) == 1
+        assert dim.cell_of(math.nextafter(0.1, 0)) == 0
         assert dim.cell_ranges(Interval(low=0.0, low_inclusive=False,
-                                        high=0.1), -5, 5) == ((0, 1), (0, -1))
+                                        high=0.1), -5, 5) == ((0, 0), (0, -1))
 
     def test_endpoint_beyond_double_range_of_offsets(self):
         """1e307 lies ~1e310 cells out: past any cell, not an error."""
@@ -292,7 +290,7 @@ def test_property_float_cells_consistent(origin, interval, value):
     dim = DimensionPolicy(name="d", dtype=DataType.DOUBLE, origin=origin,
                           interval=interval)
     k = dim.cell_of(value)
-    # allow the epsilon guard at boundaries
+    # a loose check; test_property_rows_and_labels_place_exactly is exact
     assert dim.cell_start(k) <= value + 1e-6
     assert value - 1e-6 < dim.cell_start(k + 1)
 

@@ -243,3 +243,29 @@ class TestUnconvertibleLiterals:
         with pytest.raises(SemanticError,
                            match=f"'{column}'.*{re.escape(literal)}"):
             session.execute(f"SELECT sum(v), count(*) FROM t WHERE {where}")
+
+    @pytest.mark.parametrize("where, column, literal", [
+        ("x >= 'abc'", "x", "'abc'"),
+        ("y <= 'zz'", "y", "'zz'"),
+        ("d >= 5", "d", "5"),
+        ("5 <= d", "d", "5"),
+        ("s < 3 OR x = 1", "s", "3"),
+        ("x BETWEEN 'a' AND 'b'", "x", "'a'"),
+    ])
+    def test_type_mismatch_raises_with_and_without_index(self, where,
+                                                          column, literal):
+        """The scan path meets a mismatched literal before any row, as
+        the index path does, instead of as a TypeError mid-scan."""
+        session = make_session()
+        session.execute("CREATE TABLE t (x int, d date, y double, "
+                        "s string, v double)")
+        session.load_rows("t", [(1, "2012-12-01", 0.5, "a", 1.0)])
+        session.execute(
+            "CREATE INDEX i ON TABLE t(x, d, y) AS 'dgf' IDXPROPERTIES "
+            "('x'='0_2', 'd'='2012-12-01_3d', 'y'='0_1', "
+            "'precompute'='sum(v)')")
+        sql = f"SELECT sum(v), count(*) FROM t WHERE {where}"
+        for options in (None, SCAN):
+            with pytest.raises(SemanticError,
+                               match=f"'{column}'.*{re.escape(literal)}"):
+                session.execute(sql, options)

@@ -12,8 +12,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.dgf.builder import append_with_dgf
+from repro.core.dgf.policy import DimensionPolicy, SplittingPolicy
 from repro.errors import DGFError
 from repro.hive.session import HiveSession, QueryOptions
+from repro.hiveql.predicates import Interval
+from repro.storage.schema import DataType
 from tests.conftest import SCAN, make_session
 
 DAYS = [(datetime.date(2012, 12, 1)
@@ -278,9 +281,33 @@ def _where(predicate):
     return " AND ".join(terms) or "id >= 0"
 
 
+def _assert_aligned_ends_inner(dims, predicate):
+    """A DOUBLE range ``[start(a), start(b))`` that sits on the grid
+    covers cells ``a .. b-1``: its end cells are inner, answered from
+    headers, and nothing past them is read."""
+    for (sql_type, origin, interval), bounds in zip(dims, predicate):
+        if sql_type != "double" or bounds is None:
+            continue
+        low, low_inclusive, high, high_inclusive = bounds
+        if low is None or high is None or not low_inclusive \
+                or high_inclusive:
+            continue
+        dim = DimensionPolicy("x", DataType.DOUBLE, origin, interval)
+        a, b = dim.cell_of(low), dim.cell_of(high)
+        if a < b and dim.cell_start(a) == low and dim.cell_start(b) == high:
+            assert dim.cell_ranges(Interval(low=low, high=high),
+                                   a - 2, b + 2) == ((a, b - 1), (a, b - 1))
+
+
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
+@example(case={"dims": [("double", -1.5, 0.25)],
+               "rows": [(0, -1.0, 1.0), (1, -0.25, 2.0), (2, 0.25, 4.0),
+                        (3, 0.5, 8.0), (4, math.nextafter(-1.0, -2), 16.0)],
+               "append": [], "stream": {"upsert": [], "delete": [],
+                                        "insert": []},
+               "predicates": [[(-1.0, True, 0.5, False)]]})
 @example(case={"dims": [("int", -0.5, 1)],
                "rows": [(i, x, 1.0) for i, x in enumerate(range(-3, 6))],
                "append": [], "stream": {"upsert": [], "delete": [],
@@ -298,9 +325,11 @@ def test_dgf_equals_scan_over_policy_space(case):
     DOUBLE dimensions with negative and fractional origins, rows and
     predicate ends on, beside and one float step from cell boundaries,
     through an append and a streamed upsert/delete/insert.  Aggregation
-    and GROUP BY equal the full scan at every stage.  The two pinned
-    examples are the cases where the grid search once disagreed with row
-    placement; the fractional INT origin is now refused outright."""
+    and GROUP BY equal the full scan at every stage, and a DOUBLE range
+    aligned to the grid has inner end cells.  The first pinned example is
+    such a range; the other two are the cases where the grid search once
+    disagreed with row placement (the fractional INT origin is now
+    refused outright)."""
     dims = case["dims"]
     names = [f"d{i}" for i in range(len(dims))]
     session = make_session(block_size=1024)
@@ -324,6 +353,7 @@ def test_dgf_equals_scan_over_policy_space(case):
 
     def check():
         for predicate in case["predicates"]:
+            _assert_aligned_ends_inner(dims, predicate)
             where = _where(predicate)
             for sql in (f"SELECT sum(v), count(*) FROM t WHERE {where}",
                         f"SELECT d0, sum(v), count(*) FROM t WHERE {where} "
@@ -342,3 +372,87 @@ def test_dgf_equals_scan_over_policy_space(case):
                    + [("delete", row[:-1]) for row in stream["delete"]]
                    + [("insert", row) for row in stream["insert"]])
     check()
+
+
+# ------------------------------------------------- exact cell placement
+#: rows may lie this many intervals from zero (the policy's refusal bound)
+REACH = 2 ** 50
+
+
+@st.composite
+def far_dimension(draw):
+    """A DOUBLE dimension whose origin is near zero or anywhere up to the
+    refusal bound, and sorted values on, beside and one float step from
+    cell starts, near zero, at the bound and just past it."""
+    interval = draw(st.floats(1e-3, 1e3))
+    reach = interval * REACH
+    origin = draw(st.one_of(st.floats(-1e3, 1e3),
+                            st.floats(-1, 1).map(lambda f: f * reach)))
+    dim = DimensionPolicy("x", DataType.DOUBLE, origin, interval)
+    values = [reach, -reach, math.nextafter(reach, math.inf),
+              math.nextafter(-reach, -math.inf)]
+    for _ in range(6):
+        k = draw(st.one_of(st.integers(-40, 40),
+                           st.integers(-2 * REACH, 2 * REACH)))
+        edge = origin + k * interval
+        values += [edge, math.nextafter(edge, -math.inf),
+                   math.nextafter(edge, math.inf)]
+    values += draw(st.lists(st.floats(-1, 1).map(lambda f: f * reach),
+                            max_size=6))
+    return dim, sorted(values)
+
+
+@settings(max_examples=300, deadline=None)
+@example(case=(DimensionPolicy("x", DataType.DOUBLE, 0.025, 0.003),
+               [0.001, 0.003 * REACH, 0.025 + 1e16 * 0.003]))
+@given(case=far_dimension())
+def test_property_rows_and_labels_place_exactly(case):
+    """``cell_of`` is monotone over sorted doubles, also far out.  Every
+    row within the refusal bound lands in the largest cell whose start is
+    at or below it, and that cell's label parses back to the cell; a row
+    past the bound is refused."""
+    dim, values = case
+    policy = SplittingPolicy([dim])
+    cells = [dim.cell_of(v) for v in values]
+    assert cells == sorted(cells)
+    for value, k in zip(values, cells):
+        if abs(value) > dim.interval * REACH:
+            with pytest.raises(DGFError, match="'x'"):
+                dim.place(value)
+            continue
+        assert dim.place(value) == k
+        assert dim.cell_start(k) <= value < dim.cell_start(k + 1)
+        assert dim.cell_of(dim.label(k)) == k
+        assert policy.cells_of_key(policy.key_of_row([value])) == (k,)
+
+
+def test_row_beyond_reach_is_refused():
+    """A row or origin whose neighbouring cell starts round together is
+    refused with DGFError naming the dimension: at CREATE INDEX (which
+    then registers nothing), on append, and on streamed ingest.  A
+    predicate endpoint out there is not a row; it still clamps."""
+    far = 0.25 * REACH * 4
+    index_sql = ("CREATE INDEX i ON TABLE t(x) AS 'dgf' IDXPROPERTIES "
+                 "('x'='0_0.25', 'precompute'='sum(v),count(*)')")
+    session = make_session()
+    session.execute("CREATE TABLE t (id bigint, x double, v double)")
+    session.load_rows("t", [(0, 1.0, 1.0), (1, far, 2.0)])
+    with pytest.raises(DGFError, match=f"'x': {int(far)}.* lies over 2"):
+        session.execute(index_sql)
+    assert session.execute("SHOW INDEXES ON t").rows == []
+
+    session = make_session()
+    session.execute("CREATE TABLE t (id bigint, x double, v double)")
+    session.load_rows("t", [(0, 1.0, 1.0), (1, 2.5, 2.0)])
+    with pytest.raises(DGFError, match=f"'x': {int(far)}.* lies over 2"):
+        session.execute(index_sql.replace("0_0.25", f"{far}_0.25"))
+    session.execute(index_sql)
+    with pytest.raises(DGFError, match="'x'"):
+        append_with_dgf(session, "t", "i", [(2, 3.0, 4.0), (3, -far, 8.0)])
+    binding = session.attach_delta("t", "i", key_columns=["id", "x"])
+    with pytest.raises(DGFError, match="'x'"):
+        binding.ingest([("insert", (4, far, 16.0))])
+    for where in ("x >= 1.0", f"x <= {far}", f"x >= {-far}"):
+        sql = f"SELECT sum(v), count(*) FROM t WHERE {where}"
+        assert session.execute(sql).rows == session.execute(sql, SCAN).rows
+    assert session.execute("SELECT count(*) FROM t").scalar() == 2
